@@ -1,24 +1,21 @@
-// E10 — portfolio-batched execution ablation.
+// E10 — portfolio-batched stage 2 across book sizes.
 //
-// After the E2b resolver hoisted per-occurrence lookups, the per-contract
-// engine's remaining O(contracts) redundancy is the YELT walk itself: a
-// C-contract book re-streams the trial structure C×layers times and pays
-// as many fork/join barriers. The batched path (core::PortfolioBatchRunner)
-// makes one streamed pass per trial chunk serving every contract's layer
-// stack from hit-compacted resolutions.
+// The engine's one lowering (core::run_portfolio_batch, behind
+// run_aggregate_analysis) makes one streamed pass per trial chunk serving
+// every contract's layer stack from hit-compacted resolutions, so a
+// C-contract book costs one YELT walk rather than C x layers of them.
 //
 // This bench sweeps book size on the full portfolio-roll-up workload
 // (per-contract YLTs and OEP kept, the examples/portfolio_analysis
 // configuration; secondary uncertainty off isolates the streaming path —
-// with it on, beta sampling dominates both paths equally) and reports
-// batched vs per-contract wall-clock. Results are verified bit-identical
-// before timing is reported. Acceptance bar: batched <= 0.7x the
-// per-contract loop on the >=16-contract shared-YELT book.
+// with it on, beta sampling dominates) and records the batched wall-clock
+// per book size, plus the DeviceSim modeled time and launch count of the
+// 16-contract book. Threaded outputs are verified bit-identical to
+// Sequential before timing is reported.
 #include <iostream>
 
 #include "bench/common.hpp"
 #include "core/aggregate_engine.hpp"
-#include "core/portfolio_batch.hpp"
 #include "data/resolved_yelt.hpp"
 #include "obs/obs.hpp"
 
@@ -43,10 +40,26 @@ double best_seconds(int reps, const Run& run) {
   return best;
 }
 
+bool same_outputs(const core::EngineResult& a, const core::EngineResult& b, TrialId trials) {
+  for (TrialId t = 0; t < trials; ++t) {
+    if (a.portfolio_ylt[t] != b.portfolio_ylt[t] ||
+        a.portfolio_occurrence_ylt[t] != b.portfolio_occurrence_ylt[t] ||
+        a.reinstatement_premium[t] != b.reinstatement_premium[t]) {
+      return false;
+    }
+    for (std::size_t c = 0; c < a.contract_ylts.size(); ++c) {
+      if (a.contract_ylts[c][t] != b.contract_ylts[c][t]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
-  print_banner(std::cout, "E10: portfolio-batched vs per-contract stage 2");
+  print_banner(std::cout, "E10: portfolio-batched stage 2 across book sizes");
 
   const TrialId trials = bench::scaled_trials(50'000);
   const int reps = bench::quick_mode() ? 2 : 3;
@@ -58,16 +71,13 @@ int main() {
   config.compute_oep = true;       // the full roll-up outputs
   config.keep_contract_ylts = true;
 
-  ReportTable table({"contracts", "layers", "per-contract", "batched",
-                     "batched/per-contract", "occurrences/s batched"});
+  ReportTable table({"contracts", "layers", "batched", "occurrences/s"});
   bench::JsonReport json;
   json.set("experiment", std::string("e10_portfolio_batch"));
   json.set("trials", static_cast<std::uint64_t>(trials));
   json.set("secondary_uncertainty", std::string("off"));
   json.set("compute_oep", std::string("on"));
 
-  double headline_ratio = 0.0;
-  double device_modeled_ratio = 0.0;
   for (const std::size_t contracts : book_sizes) {
     auto w = bench::make_workload(contracts, /*elt_rows=*/1'000, trials,
                                   /*events_per_year=*/10.0, /*catalog_events=*/10'000,
@@ -76,99 +86,46 @@ int main() {
     data::ResolverCache cache;
     config.resolver_cache = &cache;
 
-    // Correctness gate first (also warms the resolver cache for both paths).
-    config.batch_contracts = false;
-    const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    config.batch_contracts = true;
-    const auto batched_result = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    for (TrialId t = 0; t < trials; ++t) {
-      if (reference.portfolio_ylt[t] != batched_result.portfolio_ylt[t] ||
-          reference.portfolio_occurrence_ylt[t] !=
-              batched_result.portfolio_occurrence_ylt[t] ||
-          reference.reinstatement_premium[t] != batched_result.reinstatement_premium[t]) {
-        std::cerr << "BATCH MISMATCH at trial " << t
-                  << " — outputs are not bit-identical\n";
-        return 1;
-      }
-    }
-    for (std::size_t c = 0; c < w.portfolio.size(); ++c) {
-      for (TrialId t = 0; t < trials; ++t) {
-        if (reference.contract_ylts[c][t] != batched_result.contract_ylts[c][t]) {
-          std::cerr << "BATCH MISMATCH contract " << c << " trial " << t << "\n";
-          return 1;
-        }
-      }
+    // Correctness gate first (also warms the resolver cache).
+    core::EngineConfig sequential = config;
+    sequential.backend = core::Backend::Sequential;
+    const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, sequential);
+    const auto result = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
+    if (!same_outputs(reference, result, trials)) {
+      std::cerr << "BACKEND MISMATCH on the " << contracts
+                << "-contract book — outputs are not bit-identical\n";
+      return 1;
     }
 
-    config.batch_contracts = false;
-    const double per_contract_s = best_seconds(reps, [&] {
-      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    });
-    config.batch_contracts = true;
     const double batched_s = best_seconds(reps, [&] {
       core::run_aggregate_analysis(w.portfolio, w.yelt, config);
     });
+    const double occ_per_s = static_cast<double>(result.occurrences_processed) / batched_s;
+    table.add_row({std::to_string(contracts), std::to_string(w.portfolio.layer_count()),
+                   format_seconds(batched_s), format_rate(occ_per_s)});
+    json.set("contracts_" + std::to_string(contracts) + "_batched_seconds", batched_s);
 
-    const double ratio = batched_s / per_contract_s;
-    const double occ_per_s =
-        static_cast<double>(batched_result.occurrences_processed) / batched_s;
-    table.add_row({std::to_string(contracts),
-                   std::to_string(w.portfolio.layer_count()),
-                   format_seconds(per_contract_s), format_seconds(batched_s),
-                   format_fixed(ratio, 2) + "x", format_rate(occ_per_s)});
-
-    const std::string prefix = "contracts_" + std::to_string(contracts) + "_";
-    json.set(prefix + "per_contract_seconds", per_contract_s);
-    json.set(prefix + "batched_seconds", batched_s);
-    json.set(prefix + "ratio", ratio);
     if (contracts == 16) {
-      headline_ratio = ratio;
-
-      // DeviceSim smoke on the headline book: the executor refactor runs
-      // the batched plan natively in simulated device blocks (one launch
-      // sequence for the whole book) instead of falling back to the
-      // per-contract device path. The modeled device time is the scale-
-      // free metric; the gate is batched-modeled <= loop-modeled.
+      // DeviceSim on the headline book: one launch sequence for the whole
+      // book, with the modeled device time as the scale-free metric.
       core::EngineConfig dev = config;
       dev.backend = core::Backend::DeviceSim;
-      core::DeviceRunInfo loop_info;
-      dev.batch_contracts = false;
-      dev.device_info = &loop_info;
+      core::DeviceRunInfo info;
+      dev.device_info = &info;
       (void)core::run_aggregate_analysis(w.portfolio, w.yelt, dev);
-      core::DeviceRunInfo batched_info;
-      dev.batch_contracts = true;
-      dev.device_info = &batched_info;
-      (void)core::run_aggregate_analysis(w.portfolio, w.yelt, dev);
-      device_modeled_ratio = batched_info.modeled_seconds / loop_info.modeled_seconds;
-      std::cout << "\nDeviceSim (16 contracts): per-contract "
-                << loop_info.launches << " launches / "
-                << format_seconds(loop_info.modeled_seconds) << " modeled, batched "
-                << batched_info.launches << " launches / "
-                << format_seconds(batched_info.modeled_seconds) << " modeled ("
-                << format_fixed(device_modeled_ratio, 2) << "x)\n\n";
-      json.set("device_loop_modeled_seconds", loop_info.modeled_seconds);
-      json.set("device_batched_modeled_seconds", batched_info.modeled_seconds);
-      json.set("device_loop_launches", static_cast<std::uint64_t>(loop_info.launches));
-      json.set("device_batched_launches",
-               static_cast<std::uint64_t>(batched_info.launches));
-      json.set("device_batched_vs_loop_modeled_ratio", device_modeled_ratio);
+      std::cout << "\nDeviceSim (16 contracts): " << info.launches << " launches / "
+                << format_seconds(info.modeled_seconds) << " modeled\n\n";
+      json.set("device_batched_modeled_seconds", info.modeled_seconds);
+      json.set("device_batched_launches", static_cast<std::uint64_t>(info.launches));
     }
   }
   bench::emit("e10_portfolio_batch", table);
 
-  std::cout << "\n[E10 verdict] batched/per-contract on the 16-contract book: "
-            << format_fixed(headline_ratio, 2) << "x "
-            << (headline_ratio <= 0.7 ? "(meets the <=0.7x bar)"
-                                      : "(ABOVE the <=0.7x bar)")
-            << "; DeviceSim batched/loop modeled "
-            << format_fixed(device_modeled_ratio, 2) << "x "
-            << (device_modeled_ratio <= 1.0 ? "(meets the <=1.0x bar)"
-                                            : "(ABOVE the <=1.0x bar)")
-            << "; all outputs bit-identical across paths\n";
+  std::cout << "\n[E10 verdict] one streamed pass per book; Threaded outputs "
+               "bit-identical to Sequential at every book size\n";
 
-  json.set("headline_ratio_16_contracts", headline_ratio);
   const std::string json_path = bench::artifact_path("BENCH_e10.json");
   json.write(json_path);
   std::cout << "\nwrote " << json_path << "\n";
-  return headline_ratio <= 0.7 && device_modeled_ratio <= 1.0 ? 0 : 2;
+  return 0;
 }

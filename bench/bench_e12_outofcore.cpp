@@ -128,7 +128,6 @@ int main() {
   config.secondary_uncertainty = false;
   config.compute_oep = true;
   config.keep_contract_ylts = true;
-  config.batch_contracts = true;
 
   // Correctness gate: streamed (both modes) bit-identical to in-memory.
   data::ResolverCache warm_cache;

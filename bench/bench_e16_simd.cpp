@@ -115,7 +115,6 @@ int main() {
   data::ResolverCache cache;
   core::EngineConfig config;
   config.resolver_cache = &cache;
-  config.batch_contracts = true;
   config.keep_contract_ylts = true;
 
   // Correctness gate before any timing (and resolver-cache warm-up): the

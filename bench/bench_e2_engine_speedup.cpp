@@ -98,12 +98,13 @@ int main() {
                "(exact factor depends on host CPU vs 2012 baseline). Backends "
                "agree bit-exactly, so the comparison is apples to apples.\n";
 
-  // ---- Resolver ablation: pre-joined event→row column vs the seed's
-  // per-occurrence binary search, on a multi-layer threaded workload.
+  // ---- Resolver: cold vs warm cache on a multi-layer threaded workload.
   // Secondary uncertainty off isolates the lookup path (with it on, beta
-  // sampling dominates the kernel and dilutes the hoist); the multi-layer
-  // book is where the resolution amortises across layers.
-  print_banner(std::cout, "E2b: ELT-lookup resolver ablation");
+  // sampling dominates the kernel); the multi-layer book is where one
+  // compact resolution per contract amortises across layers. The cold run
+  // pays the direct ELT→compact-CSR build, the warm run gathers from the
+  // cached columns.
+  print_banner(std::cout, "E2b: ELT-lookup resolver, cold vs warm cache");
 
   const TrialId ab_trials = bench::scaled_trials(50'000);
   auto ab = bench::make_workload(/*contracts=*/16, /*elt_rows=*/1'000, ab_trials,
@@ -123,16 +124,11 @@ int main() {
   data::ResolverCache ab_cache;
   ab_config.resolver_cache = &ab_cache;
 
-  ab_config.use_resolver = false;
-  const auto naive = core::run_aggregate_analysis(ab.portfolio, ab.yelt, ab_config);
-
-  ab_config.use_resolver = true;
   const auto cold = core::run_aggregate_analysis(ab.portfolio, ab.yelt, ab_config);
   const auto warm = core::run_aggregate_analysis(ab.portfolio, ab.yelt, ab_config);
 
   for (TrialId t = 0; t < ab_trials; ++t) {
-    if (naive.portfolio_ylt[t] != cold.portfolio_ylt[t] ||
-        naive.portfolio_ylt[t] != warm.portfolio_ylt[t]) {
+    if (cold.portfolio_ylt[t] != warm.portfolio_ylt[t]) {
       std::cerr << "RESOLVER MISMATCH at trial " << t
                 << " — YLTs are not bit-identical\n";
       return 1;
@@ -142,28 +138,17 @@ int main() {
   const auto throughput = [](const core::EngineResult& r) {
     return static_cast<double>(r.occurrences_processed) / r.seconds;
   };
-  const double speedup_cold = naive.seconds / cold.seconds;
-  const double speedup_warm = naive.seconds / warm.seconds;
 
-  ReportTable ab_table({"lookup path", "time", "occurrences/s", "speedup vs naive"});
-  ab_table.add_row({"per-occurrence binary search (seed)", format_seconds(naive.seconds),
-                    format_rate(throughput(naive)), "1.00x"});
-  ab_table.add_row({"resolver, cold cache (builds pre-join)",
-                    format_seconds(cold.seconds), format_rate(throughput(cold)),
-                    format_fixed(speedup_cold, 2) + "x"});
-  ab_table.add_row({"resolver, warm cache", format_seconds(warm.seconds),
-                    format_rate(throughput(warm)), format_fixed(speedup_warm, 2) + "x"});
+  ReportTable ab_table({"resolver cache", "time", "occurrences/s", "build time"});
+  ab_table.add_row({"cold (builds compact columns)", format_seconds(cold.seconds),
+                    format_rate(throughput(cold)), format_seconds(cold.resolve_seconds)});
+  ab_table.add_row({"warm", format_seconds(warm.seconds), format_rate(throughput(warm)),
+                    format_seconds(warm.resolve_seconds)});
   bench::emit("e2b_resolver", ab_table);
 
-  std::cout << "\nresolver build time (cold run): "
-            << format_seconds(cold.resolve_seconds) << "; YLTs bit-identical across "
-            << "all three runs\n"
-            << "\n[E2b verdict] the pre-joined row column replaces "
-            << format_count(static_cast<double>(naive.elt_lookups))
-            << " found binary searches per run with direct gathers; warm speedup "
-            << format_fixed(speedup_warm, 2) << "x"
-            << (speedup_warm >= 1.5 ? " (meets the >=1.5x bar)" : " (BELOW the 1.5x bar)")
-            << "\n";
+  std::cout << "\n[E2b verdict] " << format_count(static_cast<double>(warm.elt_lookups))
+            << " ELT rows gathered per run from the pre-joined compact columns; YLTs "
+            << "bit-identical across the cold and warm runs\n";
 
   // Machine-readable record for the perf trajectory.
   bench::JsonReport json;
@@ -178,14 +163,10 @@ int main() {
   json.set("modeled_speedup_vs_seq", seq.seconds / device_info.modeled_seconds);
   json.set("ablation_trials", static_cast<std::uint64_t>(ab_trials));
   json.set("ablation_layers", static_cast<std::uint64_t>(ab.portfolio.layer_count()));
-  json.set("naive_seconds", naive.seconds);
   json.set("resolver_cold_seconds", cold.seconds);
   json.set("resolver_warm_seconds", warm.seconds);
   json.set("resolver_build_seconds", cold.resolve_seconds);
-  json.set("naive_occurrences_per_s", throughput(naive));
   json.set("resolver_warm_occurrences_per_s", throughput(warm));
-  json.set("resolver_speedup_cold", speedup_cold);
-  json.set("resolver_speedup_warm", speedup_warm);
   const std::string json_path = bench::artifact_path("BENCH_e2.json");
   json.write(json_path);
   std::cout << "\nwrote " << json_path << "\n";

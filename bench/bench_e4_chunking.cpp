@@ -64,9 +64,8 @@ int main() {
       core::EngineConfig config;
       config.backend = core::Backend::DeviceSim;
       config.device_elt_chunk_rows = rows;
-      // Batched plan: residency is shared across the whole book, so the
-      // cap trades launches (chunks) against constant-memory coverage.
-      config.batch_contracts = true;
+      // Residency is shared across the whole book, so the cap trades
+      // launches (chunks) against constant-memory coverage.
       config.compute_oep = false;
       config.keep_contract_ylts = false;
       core::DeviceRunInfo info;

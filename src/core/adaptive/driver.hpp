@@ -25,8 +25,8 @@ namespace riskan::core::adaptive {
 
 /// Adaptive counterpart of run_aggregate_analysis over a source; called by
 /// the engine entry points when config.adaptive is enabled (never call
-/// with it disabled). Honours batch_contracts, backends, OEP, contract
-/// YLTs — each block runs the exact non-adaptive path.
+/// with it disabled). Honours backends, OEP, contract YLTs — each block
+/// runs the exact non-adaptive path.
 EngineResult run_adaptive_aggregate(const finance::Portfolio& portfolio,
                                     data::TrialSource& source,
                                     const EngineConfig& config);

@@ -227,9 +227,9 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
   const std::size_t strata = part.size();
 
   // ---- Per-trial evaluator: the one trial kernel, one trial at a time.
-  // Dense-gather slots exactly like the per-contract lowering builds, so a
-  // drawn trial's loss is bit-identical to the same trial of a full run
-  // (the sampling streams are keyed by trial_base + t, not by draw order).
+  // Compact slots exactly like the engine's lowering builds, so a drawn
+  // trial's loss is bit-identical to the same trial of a full run (the
+  // sampling streams are keyed by trial_base + t, not by draw order).
   std::vector<SecondarySampler> samplers;
   if (engine.secondary_uncertainty) {
     samplers.reserve(portfolio.size());
@@ -242,11 +242,12 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
                                    ? *engine.resolver_cache
                                    : local_cache;
   const ParallelConfig resolve_cfg{nullptr, std::numeric_limits<std::size_t>::max()};
-  std::vector<std::shared_ptr<const data::ResolvedYelt>> resolved;
-  resolved.reserve(portfolio.size());
+  std::vector<const data::EventLossTable*> elts;
+  elts.reserve(portfolio.size());
   for (const auto& contract : portfolio.contracts()) {
-    resolved.push_back(cache.get_or_build(contract.elt(), yelt, resolve_cfg));
+    elts.push_back(&contract.elt());
   }
+  const auto resolution = data::MultiResolution::build(elts, yelt, &cache, resolve_cfg);
 
   std::vector<Money> portfolio_losses(trials, 0.0);
   std::vector<Money> reinstatement_prem(trials, 0.0);
@@ -255,17 +256,9 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
   for (std::size_t c = 0; c < portfolio.size(); ++c) {
     const auto& contract = portfolio.contract(c);
     for (const auto& layer : contract.layers()) {
-      batch::Slot slot;
-      slot.gather = batch::Gather::Dense;
-      slot.dense_rows = resolved[c]->rows().data();
-      slot.elt = &contract.elt();
-      slot.means = contract.elt().mean_loss().data();
-      slot.sampler = engine.secondary_uncertainty ? &samplers[c] : nullptr;
-      slot.contract_id = contract.id();
-      slot.layer_id = layer.id;
-      slot.terms = layer.terms;
-      slot.reinstatements = layer.reinstatements;
-      slot.upfront_premium = layer.upfront_premium;
+      batch::Slot slot =
+          batch::make_slot(contract, layer, *resolution.entry(c).compact,
+                           engine.secondary_uncertainty ? &samplers[c] : nullptr);
       slot.portfolio_losses = portfolio_losses;
       slot.reinstatement_prem = reinstatement_prem;
       slots.push_back(slot);

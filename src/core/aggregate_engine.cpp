@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 
-#include "core/adaptive/driver.hpp"
 #include "core/exec.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/secondary.hpp"
 #include "core/simd.hpp"
 #include "data/trial_source.hpp"
-#include "finance/terms.hpp"
 #include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
 #include "util/require.hpp"
 
 namespace riskan::core {
@@ -116,191 +114,52 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
 EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
                                     data::TrialSource& source,
                                     const EngineConfig& config) {
-  validate_engine_config(config);
-  RISKAN_REQUIRE(!portfolio.empty(), "portfolio must contain contracts");
-  const TrialId trials = source.trials();
-  RISKAN_REQUIRE(trials > 0, "trial source must contain trials");
-
-  // Adaptive stopping wraps this very entry point: the driver re-enters it
-  // per decision block with adaptivity cleared, so everything below runs
-  // unchanged — bit-identically — whether the budget is fixed or adaptive.
-  if (config.adaptive.enabled()) {
-    return adaptive::run_adaptive_aggregate(portfolio, source, config);
-  }
-
-  if (config.batch_contracts) {
-    return run_portfolio_batch(portfolio, source, config);
-  }
-
-  // The per-contract lowering: one 1-slot execution plan per (contract,
-  // layer), dispatched in layer-major order on the configured executor so
-  // a layer's ELT stays hot while its trials stream — the legacy engine's
-  // loop nest, now expressed as plans over the one batch kernel. With the
-  // resolver on each slot gathers through the contract's dense pre-joined
-  // row column; off, it binary-searches the ELT per occurrence (the
-  // reference plan flag). Plans are lowered against the first trial block
-  // and re-bound to each subsequent one (an in-memory run is the one-block
-  // special case); per-trial accumulators are sliced by block, and the
-  // block's trial offset rides the sampling stream base, so a streamed run
-  // is bit-identical to the monolithic one.
-  obs::RunObsScope obs_scope(config.obs);
-  obs::Timer timer("engine.per_contract_run");
-  static const obs::Counter runs_counter =
-      obs::MetricsRegistry::global().counter("engine.runs");
-  static const obs::Histogram block_hist =
-      obs::MetricsRegistry::global().histogram("engine.block_seconds");
-  static const obs::Histogram resolve_hist =
-      obs::MetricsRegistry::global().histogram("engine.resolve_seconds");
-  runs_counter.add();
-
-  EngineResult result;
-  result.portfolio_ylt = data::YearLossTable(trials, "portfolio");
-  result.reinstatement_premium = data::YearLossTable(trials, "reinstatement-premium");
-  if (config.keep_contract_ylts) {
-    result.contract_ylts.reserve(portfolio.size());
-    for (const auto& contract : portfolio.contracts()) {
-      result.contract_ylts.emplace_back(
-          trials, "contract-" + std::to_string(contract.id()));
-    }
-  }
-  if (config.compute_oep) {
-    result.portfolio_occurrence_ylt = data::YearLossTable(trials, "portfolio-oep");
-  }
-
-  // Samplers are pure functions of each contract's ELT — block-invariant,
-  // so they are built once per run.
-  std::vector<SecondarySampler> samplers;
-  if (config.secondary_uncertainty) {
-    samplers.reserve(portfolio.size());
-    for (const auto& contract : portfolio.contracts()) {
-      samplers.emplace_back(contract.elt());
-    }
-  }
-
-  const Philox4x32 philox(config.seed);
-  std::uint64_t lookups = 0;
-  data::ResolverCache local_cache;
-  data::ResolverCache& cache = resolver_cache_for(config, source, local_cache);
-  const auto executor = exec::make_executor(config);
-
-  const std::uint64_t layer_count = portfolio.layer_count();
-  std::vector<batch::Slot> slot_storage(layer_count);
-  std::vector<exec::ExecutionPlan> plans(layer_count);
-  bool lowered = false;
-
-  std::vector<Money> occurrence_accum;
-  for_each_trial_block(source, config, local_cache,
-                       [&](const data::TrialBlock& block, TrialId base) {
-    obs::Timer block_timer("engine.block");
-    const data::YearEventLossTable& yelt = *block.yelt;
-    const TrialId block_trials = yelt.trials();
-    const auto yelt_offsets = yelt.offsets();
-    const auto events = yelt.events();
-    if (config.compute_oep) {
-      occurrence_accum.assign(yelt.entries(), 0.0);
-    }
-
-    std::size_t p = 0;
-    for (std::size_t c = 0; c < portfolio.size(); ++c) {
-      const auto& contract = portfolio.contract(c);
-
-      // One pre-join per contract per block, shared by all of its layers
-      // (and, via the cache, by subsequent runs over the same tables). The
-      // Sequential backend builds inline — it must stay off the pool, both
-      // for its single-thread contract and because MapReduce map tasks run
-      // it from pool workers (submitting and blocking there can deadlock).
-      std::shared_ptr<const data::ResolvedYelt> resolved;
-      if (config.use_resolver) {
-        obs::Timer resolve_timer("engine.resolve");
-        const ParallelConfig resolve_cfg =
-            pool_free(config.backend)
-                ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
-                : ParallelConfig{config.pool, 0};
-        resolved = cache.get_or_build(contract.elt(), yelt, resolve_cfg);
-        const double resolve_s = resolve_timer.stop();
-        result.resolve_seconds += resolve_s;
-        resolve_hist.observe(resolve_s);
-      }
-
-      for (const auto& layer : contract.layers()) {
-        batch::Slot& slot = slot_storage[p];
-        slot = batch::Slot{};
-        slot.elt = &contract.elt();
-        if (resolved) {
-          slot.gather = batch::Gather::Dense;
-          slot.dense_rows = resolved->rows().data();
-        } else {
-          slot.gather = batch::Gather::Search;
-          slot.search_events = events.data();
-        }
-        slot.means = contract.elt().mean_loss().data();
-        slot.sampler = config.secondary_uncertainty ? &samplers[c] : nullptr;
-        slot.terms = layer.terms;
-        slot.reinstatements = layer.reinstatements;
-        slot.upfront_premium = layer.upfront_premium;
-        slot.contract_id = contract.id();
-        slot.layer_id = layer.id;
-        slot.contract_losses =
-            config.keep_contract_ylts
-                ? result.contract_ylts[c].mutable_losses().subspan(block.trial_offset,
-                                                                   block_trials)
-                : std::span<Money>{};
-        slot.portfolio_losses =
-            result.portfolio_ylt.mutable_losses().subspan(block.trial_offset, block_trials);
-        slot.reinstatement_prem = result.reinstatement_premium.mutable_losses().subspan(
-            block.trial_offset, block_trials);
-        slot.occurrence_accum = config.compute_oep ? occurrence_accum.data() : nullptr;
-
-        if (!lowered) {
-          EngineConfig lower_config = config;
-          lower_config.trial_base = base;
-          plans[p] = exec::ExecutionPlan::lower({&slot, 1}, yelt_offsets, block_trials,
-                                                lower_config);
-        } else {
-          plans[p].rebind({&slot, 1}, yelt_offsets, block_trials, base);
-        }
-        lookups += executor->execute(plans[p], philox);
-        ++p;
-      }
-    }
-    lowered = true;
-
-    if (config.compute_oep) {
-      batch::finalize_oep(result.portfolio_occurrence_ylt.mutable_losses().subspan(
-                              block.trial_offset, block_trials),
-                          occurrence_accum, yelt_offsets, {});
-    }
-    result.occurrences_processed += yelt.entries() * layer_count;
-    block_hist.observe(block_timer.stop());
-  });
-
-  result.seconds = timer.stop();
-  result.elt_lookups = lookups;
-  result.obs_report = obs_scope.finish();
-  // Accumulated under DeviceSim only, mirroring the executor's counter
-  // accumulation so host/modeled scopes stay matched across runs.
-  if (config.backend == Backend::DeviceSim && config.device_info != nullptr) {
-    config.device_info->host_seconds += result.seconds;
-  }
-  return result;
+  return run_portfolio_batch(portfolio, source, config);
 }
 
 std::vector<Money> run_layer(const finance::Contract& contract, const finance::Layer& layer,
                              const data::YearEventLossTable& yelt,
                              const EngineConfig& config) {
-  finance::Portfolio single;
-  single.add(finance::Contract(contract.id(), contract.elt(), {layer}, contract.region(),
-                               contract.lob(), contract.peril()));
-  EngineConfig cfg = config;
-  cfg.keep_contract_ylts = false;
-  cfg.compute_oep = false;
-  // The single-contract portfolio copies the ELT, so its resolution is
-  // keyed to a temporary — keep it out of the shared cache.
+  validate_engine_config(config);
+  const TrialId trials = yelt.trials();
+  RISKAN_REQUIRE(trials > 0, "trial source must contain trials");
+  RISKAN_REQUIRE(!config.adaptive.enabled(),
+                 "run_layer prices every trial; adaptive stopping needs "
+                 "run_aggregate_analysis");
+  obs::RunObsScope obs_scope(config.obs);
+  obs::Timer timer("engine.run_layer");
+
+  // A one-slot plan over the caller's contract. The resolution is
+  // run-local: a quoted contract's compact columns (~16 MB at 1M trials)
+  // would pile up in any durable cache across a quote stream.
+  const ParallelConfig resolve_cfg =
+      pool_free(config.backend)
+          ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
+          : ParallelConfig{config.pool, config.trial_grain};
   data::ResolverCache local_cache;
-  cfg.resolver_cache = &local_cache;
-  auto result = run_aggregate_analysis(single, yelt, cfg);
-  auto losses = result.portfolio_ylt.losses();
-  return std::vector<Money>(losses.begin(), losses.end());
+  const auto compact = local_cache.get_or_build_compact(contract.elt(), yelt, resolve_cfg);
+  std::optional<SecondarySampler> sampler;
+  if (config.secondary_uncertainty) {
+    sampler.emplace(contract.elt());
+  }
+
+  std::vector<Money> losses(trials, 0.0);
+  std::vector<Money> reinstatement_prem(trials, 0.0);
+  batch::Slot slot =
+      batch::make_slot(contract, layer, *compact, sampler ? &*sampler : nullptr);
+  slot.portfolio_losses = losses;
+  slot.reinstatement_prem = reinstatement_prem;
+
+  const auto plan = exec::ExecutionPlan::lower({&slot, 1}, yelt.offsets(), trials, config);
+  exec::make_executor(config)->execute(plan, Philox4x32(config.seed));
+
+  const double seconds = timer.stop();
+  (void)obs_scope.finish();
+  // Accumulated under DeviceSim only, like the engine run's host time.
+  if (config.backend == Backend::DeviceSim && config.device_info != nullptr) {
+    config.device_info->host_seconds += seconds;
+  }
+  return losses;
 }
 
 }  // namespace riskan::core

@@ -14,11 +14,15 @@
 // YLT.
 //
 // There is exactly ONE implementation of that loop in the repo:
-// core::batch::process_trials (src/core/portfolio_batch.hpp). Every entry
-// point — this per-contract front end, the batched runner, the scenario
-// sweep, MapReduce map tasks and the pricer's run_layer — lowers its
-// request into batch slots via an exec::ExecutionPlan (src/core/exec.hpp)
-// and dispatches it on a pluggable executor:
+// core::batch::process_trials (src/core/portfolio_batch.hpp), and ONE
+// lowering onto it: every contract's ELT is pre-joined once per (contract,
+// YELT) into hit-compacted CSR columns (data::CompactResolvedYelt, cached
+// by data::ResolverCache) and the whole book becomes one slot per
+// (contract, layer) served by a single streamed pass over the trials.
+// Every entry point — this front end, the multi-book runner, the scenario
+// sweep, MapReduce map tasks, dist workers and the pricer's run_layer —
+// lowers its request into batch slots via an exec::ExecutionPlan
+// (src/core/exec.hpp) and dispatches it on a pluggable executor:
 //   Sequential — single thread, pool-free; the baseline of the paper's
 //                "15x" claim (MapReduce map tasks rely on the pool-free
 //                contract).
@@ -27,19 +31,10 @@
 //                simulated device blocks with slot columns staged to
 //                shared memory and ELT tables resident in constant memory,
 //                residency chosen by the plan.
-// Outputs are bit-identical across backends, lowerings and scheduling
-// (tests enforce).
-//
-// The event→row mapping is identical for every layer of a contract and on
-// every run, so by default it is pre-joined once per (contract, YELT)
-// (data::ResolvedYelt, cached by data::ResolverCache) and the kernel
-// gathers by direct index; EngineConfig::use_resolver = off selects the
-// legacy per-occurrence binary search, which survives as a plan flag.
-//
-// Multi-contract books should prefer the portfolio-batched lowering
-// (EngineConfig::batch_contracts / src/core/portfolio_batch.hpp): one
-// streamed YELT pass serves every contract's layer stack, bit-identically,
-// instead of the per-(contract, layer) re-walk this front end plans.
+//   Simd / ThreadedSimd — the vectorized kernel (src/core/batch_simd.hpp).
+// Outputs are bit-identical across backends and scheduling, and equal to
+// a naive per-contract oracle that shares no code with the kernel (tests
+// enforce).
 #pragma once
 
 #include <cstdint>
@@ -156,22 +151,9 @@ struct EngineConfig {
   /// When non-null and backend == DeviceSim, receives the run's accumulated
   /// device telemetry (counters, launches, modeled time).
   DeviceRunInfo* device_info = nullptr;
-  /// Pre-join each contract's ELT to the YELT once (data::ResolvedYelt) and
-  /// gather rows by direct index in the trial kernel. Off = the legacy
-  /// per-occurrence binary search, retained as the reference plan flag for
-  /// the equivalence tests and the resolver-on/off bench comparison.
-  bool use_resolver = true;
-  /// Cache of resolutions shared across layers and runs; nullptr = the
+  /// Cache of compact resolutions shared across runs; nullptr = the
   /// process-wide data::ResolverCache::shared().
   data::ResolverCache* resolver_cache = nullptr;
-  /// Portfolio-batched stage 2 (core::PortfolioBatchRunner): stream each
-  /// trial chunk once, serving every contract's layer stack in the same
-  /// pass, instead of re-walking the YELT per (contract, layer). Outputs
-  /// are bit-identical either way; batching is the wall-clock win on
-  /// multi-contract books and composes with every backend, DeviceSim
-  /// included. Implies the resolver (`use_resolver` is ignored on this
-  /// path).
-  bool batch_contracts = false;
   /// Convergence-adaptive stopping (core/adaptive): with
   /// adaptive.target_rel_err > 0 the run consumes trials in decision
   /// blocks, folds streaming estimators after each, and stops once the
@@ -209,9 +191,10 @@ struct EngineResult {
 
   double seconds = 0.0;
   std::uint64_t occurrences_processed = 0;
+  /// Occurrences that resolved to an ELT row, times the contract's layers.
   std::uint64_t elt_lookups = 0;
-  /// Wall-clock spent building event→row resolutions (0 on cache hits or
-  /// when use_resolver is off); included in `seconds`.
+  /// Wall-clock spent building event→row resolutions (0 on cache hits);
+  /// included in `seconds`.
   double resolve_seconds = 0.0;
   /// Convergence report of an adaptive run (enabled = false otherwise):
   /// stopping trial count, stop reason, per-metric estimates and CIs.
@@ -232,10 +215,10 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
 /// every entry point. The in-memory overload wraps its table in a one-block
 /// InMemorySource and calls this; an out-of-core run passes a
 /// ChunkedFileSource and streams trial blocks through the *same* execution
-/// plans (lowered once, re-bound per block, with each block's trial offset
+/// plan (lowered once, re-bound per block, with each block's trial offset
 /// keying the sampling streams), so the outputs are bit-identical to the
-/// in-memory run across every backend, with batching, per-contract YLTs and
-/// OEP all available.
+/// in-memory run across every backend, with per-contract YLTs and OEP
+/// available.
 EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
                                     data::TrialSource& source,
                                     const EngineConfig& config = {});
@@ -263,7 +246,9 @@ void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
                           const std::function<void(const data::TrialBlock&, TrialId)>& body);
 
 /// Single-layer convenience used by the pricer and micro-benches: returns
-/// the layer's per-trial net losses (a 1-slot execution plan).
+/// the layer's per-trial net losses — a one-slot plan over the caller's
+/// contract (no copy), resolved through a run-local cache. Rejects an
+/// adaptive config (a quote prices every trial).
 std::vector<Money> run_layer(const finance::Contract& contract, const finance::Layer& layer,
                              const data::YearEventLossTable& yelt, const EngineConfig& config);
 

@@ -16,15 +16,10 @@
 //       accumulator bit-identical to the scalar kernel. The sub-width
 //       remainder of each chunk runs the scalar ops in the same order (the
 //       lane-tail contract).
-//   vector-dense — singleton dense group: row sentinels (kNoLoss) become
-//       masked-out gather lanes (secondary off) or exact-+0.0 sampled
-//       buffer entries (secondary on) that contribute +0.0 — exactly the
-//       scalar `continue`'s effect on the annual sum, since every
-//       occurrence contribution is non-negative.
-//   scalar — everything else (search gather, mask columns, multi-slot
-//       shared-gather groups) falls back to batch::process_trials for the
-//       (group, block) — same code, so equality across the full feature
-//       matrix holds by construction.
+//   scalar — everything else (mask columns, multi-slot shared-gather
+//       groups) falls back to batch::process_trials for the (group,
+//       block) — same code, so equality across the full feature matrix
+//       holds by construction.
 //
 // Shared outputs (the portfolio roll-up, a shared OEP accumulator) see the
 // same per-cell addition order as the scalar kernel: the block loop is
@@ -33,8 +28,8 @@
 // and within a (slot, trial) the fold is in occurrence order.
 //
 // Secondary uncertainty on vector slots samples each chunk's hits into a
-// scratch buffer first (detail::fill_ground_up_*_range below, compiled in
-// the portable TU) and vectorizes everything downstream of the sample. The
+// scratch buffer first (detail::fill_ground_up_compact_range below,
+// compiled in the portable TU) and vectorizes everything downstream of the sample. The
 // fill itself is batched: SecondarySampler::sample_lanes draws every
 // occurrence's Philox blocks lane-parallel (util::PhiloxLanes) and resolves
 // the common case — degenerate rows and gamma pairs that accept on the
@@ -73,27 +68,24 @@ struct SimdStats {
 
 /// Shared signature of the per-ISA kernels: process_trials' arguments plus
 /// the stats sink (chunk scratch lives on the kernel's own stack).
-using SimdKernelFn = std::uint64_t (*)(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
+using SimdKernelFn = void (*)(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats);
 
 // Per-ISA kernels; each is defined only when its RISKAN_SIMD_* macro is
 // compiled in (exec::simd_dispatch() is the only referent).
-std::uint64_t process_trials_simd_avx2(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
-std::uint64_t process_trials_simd_neon(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
+void process_trials_simd_avx2(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats);
+void process_trials_simd_neon(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats);
 
 /// Vectorized finance::apply_occurrence over a contiguous ground-up buffer,
 /// dispatched like the kernel (scalar loop when no ISA is active). The
@@ -146,18 +138,6 @@ void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
                                   TrialId trial_base, TrialId t_first,
                                   std::uint64_t k_begin, std::uint64_t k_end, Money* out,
                                   SimdStats& stats);
-
-/// Dense-gather sibling of the above: samples the global occurrence range
-/// [i_begin, i_end), writing exact +0.0 for kNoLoss sentinel rows (the
-/// vector pass adds those lanes where the scalar kernel `continue`s, which
-/// cannot change a non-negative annual sum). Streams are keyed with
-/// seq = i - yelt_offsets[t], the scalar dense walk's key. Returns the
-/// found-lookup count.
-std::uint64_t fill_ground_up_dense_range(const Slot& s, const Philox4x32& philox,
-                                         TrialId trial_base, TrialId t_first,
-                                         std::span<const std::uint64_t> yelt_offsets,
-                                         std::uint64_t i_begin, std::uint64_t i_end,
-                                         Money* out, SimdStats& stats);
 
 }  // namespace detail
 

@@ -1,8 +1,5 @@
 // AVX2 stamp of the vectorized trial kernel: 4 Money lanes per __m256d,
-// compact rows gathered with vgatherdpd and dense kNoLoss sentinels
-// suppressed with the masked-gather form (masked-off elements are never
-// loaded, so a null/short means column is safe exactly where the scalar
-// kernel would not have touched it either).
+// compact rows gathered with vgatherdpd.
 //
 // This TU is compiled with -mavx2 (set per-source by RISKAN_ENABLE_SIMD);
 // everything here lives behind the runtime dispatch in core/simd.cpp, and
@@ -40,36 +37,17 @@ struct Avx2Ops {
     const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
     return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, vi, ones, 8);
   }
-
-  struct MaskedGather {
-    Vec values;
-    unsigned found;
-  };
-  static MaskedGather gather_masked(const Money* base, const std::uint32_t* rows) noexcept {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows));
-    // kNoLoss is all-ones; valid lanes get an all-ones 64-bit mask (sign
-    // bit set = gather), sentinel lanes keep the zero source.
-    const __m128i invalid = _mm_cmpeq_epi32(vi, _mm_set1_epi32(-1));
-    const __m128i valid = _mm_xor_si128(invalid, _mm_set1_epi32(-1));
-    const __m256d mask = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(valid));
-    const __m256d values =
-        _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, vi, mask, 8);
-    const unsigned valid_bits =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(valid)));
-    return MaskedGather{values, static_cast<unsigned>(__builtin_popcount(valid_bits))};
-  }
 };
 
 }  // namespace
 
-std::uint64_t process_trials_simd_avx2(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats) {
-  return impl::process_trials_simd<Avx2Ops>(slots, groups, yelt_offsets, philox, secondary,
-                                            trial_base, lo, hi, annual_scratch, stats);
+void process_trials_simd_avx2(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats) {
+  impl::process_trials_simd<Avx2Ops>(slots, groups, yelt_offsets, philox, secondary,
+                                     trial_base, lo, hi, annual_scratch, stats);
 }
 
 void apply_occurrence_lanes_avx2(const finance::LayerTerms& terms, const Money* ground_up,

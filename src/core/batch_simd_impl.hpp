@@ -10,9 +10,6 @@
 //   Vec gt_mask(Vec, Vec)                    all-ones lanes where a > b
 //   Vec mask_and(Vec, Vec)                   bitwise and (value ∧ mask)
 //   Vec gather(const Money* base, const std::uint32_t* idx)
-//   MaskedGather gather_masked(const Money* base, const std::uint32_t* rows)
-//       — kNoLoss rows become 0.0 lanes without touching memory; returns
-//         {Vec values, unsigned found}.
 //
 // Shape: trials are walked in blocks of kTrialBlock; per (group, block)
 // the vector paths compute occurrence losses for the block's contiguous
@@ -40,7 +37,6 @@
 #include <span>
 
 #include "core/batch_simd.hpp"
-#include "data/elt.hpp"
 #include "finance/terms.hpp"
 
 namespace riskan::core::batch {
@@ -53,28 +49,12 @@ inline constexpr std::size_t kTrialBlock = 1024;
 /// 2048 Money = 16 KiB each, L1/L2-resident with the gather sources).
 inline constexpr std::size_t kOccChunk = 2048;
 
-/// How the kernel runs one (group, block).
-enum class GroupClass : std::uint8_t {
-  VecCompact,  ///< singleton compact group, no mask column
-  VecDense,    ///< singleton dense group, secondary off
-  Scalar,      ///< everything else → batch::process_trials fallback
-};
-
-inline GroupClass classify(const Slot* gs, std::uint32_t gsize, bool secondary) noexcept {
-  (void)secondary;  // secondary-on now rides both vector paths (batched sampling)
-  if (gsize != 1) {
-    return GroupClass::Scalar;
-  }
-  const Slot& s = gs[0];
-  if (s.gather == Gather::Compact) {
-    // loss_scale / conditioned_ground_up vectorize; a mask column re-keys
-    // sampling per lane and stays scalar.
-    return s.mask_seq == nullptr ? GroupClass::VecCompact : GroupClass::Scalar;
-  }
-  if (s.gather == Gather::Dense) {
-    return GroupClass::VecDense;
-  }
-  return GroupClass::Scalar;
+/// Whether the kernel runs a (group, block) on the vector path: singleton
+/// groups without a mask column. loss_scale / conditioned_ground_up
+/// vectorize; a mask column re-keys sampling per lane and stays scalar, as
+/// do multi-slot shared-gather groups.
+inline bool vector_group(const Slot* gs, std::uint32_t gsize) noexcept {
+  return gsize == 1 && gs[0].mask_seq == nullptr;
 }
 
 /// The occurrence algebra on W lanes; see the header contract above.
@@ -176,142 +156,33 @@ inline void vec_compact_block(const Slot& s, const Philox4x32& philox, bool seco
   detail::finish_slot_trials_out(s, t0, t1, annuals);
 }
 
-/// One vector-dense (slot, block): the block's full occurrence range,
-/// kNoLoss rows as masked gather lanes (secondary off) or sampled into the
-/// ground-up buffer with sentinels as exact +0.0 (secondary on — the fill
-/// and the batched sampler live in portable TUs). Returns the found-lookup
-/// count (scalar parity). Dense slots have inert transforms by plan
-/// contract, so every annual base is 0.
+/// The kernel: per (group, trial-block), the vector path for singleton
+/// unmasked groups and batch::process_trials for the rest. The block loop
+/// is outermost and groups run in plan order, so shared output cells
+/// accumulate in the scalar kernel's order.
 template <typename V>
-inline std::uint64_t vec_dense_block(const Slot& s, const Philox4x32& philox,
-                                     bool secondary, TrialId trial_base, TrialId t0,
-                                     TrialId t1,
-                                     std::span<const std::uint64_t> yelt_offsets,
-                                     SimdStats& stats) {
-  constexpr std::size_t W = V::kWidth;
-  alignas(64) Money occ_chunk[kOccChunk];
-  alignas(64) Money gu_chunk[kOccChunk];
-  Money annuals[kTrialBlock];
-  std::fill(annuals, annuals + (t1 - t0), 0.0);
-
-  const std::uint64_t h0 = yelt_offsets[t0];
-  const std::uint64_t h1 = yelt_offsets[t1];
-  Money* const accum = s.occurrence_accum;
-  const Money share = s.terms.share;
-  std::uint64_t found = 0;
-
-  TrialId t = t0;
-  for (std::uint64_t c0 = h0; c0 < h1; c0 += kOccChunk) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kOccChunk, h1 - c0));
-    const std::uint32_t* dense = s.dense_rows + c0;
-    const Money* gu = gu_chunk;
-    if (secondary) {
-      found += detail::fill_ground_up_dense_range(s, philox, trial_base, t, yelt_offsets,
-                                                  c0, c0 + n, gu_chunk, stats);
-    }
-
-    std::size_t k = 0;
-    for (; k + W <= n; k += W) {
-      // Masked-out lanes gather (or fill as) exact +0.0;
-      // apply_occurrence(terms, 0) is +0.0 for both retention kinds
-      // (retention ≥ 0 by terms.validate), and the annual sum is a sum of
-      // non-negatives, so adding those lanes in place of the scalar
-      // `continue` never changes a bit.
-      if (secondary) {
-        V::store(occ_chunk + k, occurrence_lanes<V>(s.terms, V::load(gu + k)));
-      } else {
-        const auto mg = V::gather_masked(s.means, dense + k);
-        found += mg.found;
-        V::store(occ_chunk + k, occurrence_lanes<V>(s.terms, mg.values));
-      }
-    }
-    stats.vector_occurrences += k;
-    stats.tail_occurrences += n - k;
-    for (; k < n; ++k) {
-      if (secondary) {
-        occ_chunk[k] = finance::apply_occurrence(s.terms, gu[k]);
-        continue;
-      }
-      const std::uint32_t row = dense[k];
-      if (row == data::ResolvedYelt::kNoLoss) {
-        occ_chunk[k] = 0.0;
-        continue;
-      }
-      ++found;
-      occ_chunk[k] = finance::apply_occurrence(s.terms, s.means[row]);
-    }
-
-    std::size_t j = 0;
-    while (j < n) {
-      while (c0 + j >= yelt_offsets[t + 1]) {
-        ++t;
-      }
-      const std::size_t seg_end =
-          static_cast<std::size_t>(std::min<std::uint64_t>(yelt_offsets[t + 1] - c0, n));
-      Money a = annuals[t - t0];
-      if (accum != nullptr) {
-        for (; j < seg_end; ++j) {
-          const Money occ = occ_chunk[j];
-          a += occ;
-          if (occ > 0.0) {
-            accum[c0 + j] += occ * share;
-          }
-        }
-      } else {
-        for (; j < seg_end; ++j) {
-          a += occ_chunk[j];
-        }
-      }
-      annuals[t - t0] = a;
-    }
-  }
-  detail::finish_slot_trials_out(s, t0, t1, annuals);
-  return found;
-}
-
-/// The kernel: per (group, trial-block) classification, vector paths for
-/// the singleton compact/dense regimes, batch::process_trials for the
-/// rest. The block loop is outermost and groups run in plan order, so
-/// shared output cells accumulate in the scalar kernel's order.
-template <typename V>
-std::uint64_t process_trials_simd(std::span<const Slot> slots, std::span<const Group> groups,
-                                  std::span<const std::uint64_t> yelt_offsets,
-                                  const Philox4x32& philox, bool secondary,
-                                  TrialId trial_base, TrialId lo, TrialId hi,
-                                  std::span<Money> annual_scratch, SimdStats& stats) {
-  std::uint64_t found = 0;
+void process_trials_simd(std::span<const Slot> slots, std::span<const Group> groups,
+                         std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
+                         bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
+                         std::span<Money> annual_scratch, SimdStats& stats) {
   for (TrialId b0 = lo; b0 < hi; b0 += static_cast<TrialId>(kTrialBlock)) {
     const TrialId b1 = std::min<TrialId>(hi, b0 + static_cast<TrialId>(kTrialBlock));
     for (const Group& group : groups) {
       const Slot* gs = slots.data() + group.begin;
-      switch (classify(gs, group.size, secondary)) {
-        case GroupClass::VecCompact:
-          vec_compact_block<V>(gs[0], philox, secondary, trial_base, b0, b1, yelt_offsets,
-                               stats);
-          break;
-        case GroupClass::VecDense:
-          found += vec_dense_block<V>(gs[0], philox, secondary, trial_base, b0, b1,
-                                      yelt_offsets, stats);
-          break;
-        case GroupClass::Scalar: {
-          // Bit-identical by construction: the scalar kernel itself, one
-          // (group, block) at a time (trial-major group order within the
-          // block preserved per shared output cell — see the header).
-          const Group local{0, group.size};
-          found += process_trials(std::span<const Slot>(gs, group.size), {&local, 1},
-                                  yelt_offsets, philox, secondary, trial_base, b0, b1,
-                                  annual_scratch);
-          stats.scalar_occurrences +=
-              gs[0].gather == Gather::Compact
-                  ? gs[0].hit_offsets[b1] - gs[0].hit_offsets[b0]
-                  : yelt_offsets[b1] - yelt_offsets[b0];
-          break;
-        }
+      if (vector_group(gs, group.size)) {
+        vec_compact_block<V>(gs[0], philox, secondary, trial_base, b0, b1, yelt_offsets,
+                             stats);
+        continue;
       }
+      // Bit-identical by construction: the scalar kernel itself, one
+      // (group, block) at a time (trial-major group order within the block
+      // preserved per shared output cell — see the header).
+      const Group local{0, group.size};
+      process_trials(std::span<const Slot>(gs, group.size), {&local, 1}, yelt_offsets, philox,
+                     secondary, trial_base, b0, b1, annual_scratch);
+      stats.scalar_occurrences += gs[0].hit_offsets[b1] - gs[0].hit_offsets[b0];
     }
   }
-  return found;
 }
 
 /// Generic body of apply_occurrence_lanes for one ISA: full-width chunks

@@ -1,5 +1,5 @@
 // NEON stamp of the vectorized trial kernel: 2 Money lanes per float64x2_t.
-// aarch64 has no hardware gather, so the gather primitives assemble lanes
+// aarch64 has no hardware gather, so the gather primitive assembles lanes
 // with scalar loads — the per-lane term algebra and the occurrence-order
 // reduction contract are identical to the AVX2 stamp.
 #ifdef RISKAN_SIMD_NEON
@@ -41,37 +41,17 @@ struct NeonOps {
     v = vsetq_lane_f64(base[idx[1]], v, 1);
     return v;
   }
-
-  struct MaskedGather {
-    Vec values;
-    unsigned found;
-  };
-  static MaskedGather gather_masked(const Money* base, const std::uint32_t* rows) noexcept {
-    constexpr std::uint32_t kNoLoss = ~std::uint32_t{0};
-    Vec v = vdupq_n_f64(0.0);
-    unsigned found = 0;
-    if (rows[0] != kNoLoss) {
-      v = vsetq_lane_f64(base[rows[0]], v, 0);
-      ++found;
-    }
-    if (rows[1] != kNoLoss) {
-      v = vsetq_lane_f64(base[rows[1]], v, 1);
-      ++found;
-    }
-    return MaskedGather{v, found};
-  }
 };
 
 }  // namespace
 
-std::uint64_t process_trials_simd_neon(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats) {
-  return impl::process_trials_simd<NeonOps>(slots, groups, yelt_offsets, philox, secondary,
-                                            trial_base, lo, hi, annual_scratch, stats);
+void process_trials_simd_neon(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats) {
+  impl::process_trials_simd<NeonOps>(slots, groups, yelt_offsets, philox, secondary,
+                                     trial_base, lo, hi, annual_scratch, stats);
 }
 
 void apply_occurrence_lanes_neon(const finance::LayerTerms& terms, const Money* ground_up,

@@ -31,41 +31,19 @@ struct ExecObs {
 };
 
 bool same_source(const ExecutionPlan::Source& src, const batch::Slot& s) noexcept {
-  return src.gather == s.gather && src.elt == s.elt && src.hit_offsets == s.hit_offsets &&
-         src.seqs == s.seqs && src.rows == s.rows && src.dense_rows == s.dense_rows &&
-         src.search_events == s.search_events;
+  return src.elt == s.elt && src.hit_offsets == s.hit_offsets && src.seqs == s.seqs &&
+         src.rows == s.rows;
 }
 
 /// Per-slot invariants shared by lower() and rebind(): every slot carries
-/// exactly its gather mode's columns, scenario transforms stay compact-only,
-/// and the sampling/means inputs match the secondary setting.
-void validate_slots(std::span<const batch::Slot> slots,
-                    std::span<const std::uint64_t> yelt_offsets, TrialId trials,
-                    bool secondary) {
-  const std::uint64_t entries = yelt_offsets.empty() ? 0 : yelt_offsets[trials];
+/// its gather columns, and the sampling/means inputs match the secondary
+/// setting.
+void validate_slots(std::span<const batch::Slot> slots, TrialId trials, bool secondary) {
   for (const batch::Slot& s : slots) {
     RISKAN_REQUIRE(s.elt != nullptr, "slot needs its gather ELT");
-    switch (s.gather) {
-      case batch::Gather::Compact:
-        RISKAN_REQUIRE(s.hit_offsets != nullptr, "compact slot needs its CSR index");
-        RISKAN_REQUIRE((s.seqs != nullptr && s.rows != nullptr) ||
-                           s.hit_offsets[trials] == 0,
-                       "compact slot needs seq and row columns");
-        break;
-      case batch::Gather::Dense:
-        RISKAN_REQUIRE(s.dense_rows != nullptr || entries == 0,
-                       "dense slot needs its pre-joined row column");
-        break;
-      case batch::Gather::Search:
-        RISKAN_REQUIRE(s.search_events != nullptr || entries == 0,
-                       "search slot needs the YELT event column");
-        break;
-    }
-    if (s.gather != batch::Gather::Compact) {
-      RISKAN_REQUIRE(s.mask_seq == nullptr && s.loss_scale == 1.0 &&
-                         s.conditioned_ground_up < 0.0,
-                     "dense/search slots take no scenario transforms");
-    }
+    RISKAN_REQUIRE(s.hit_offsets != nullptr, "slot needs its CSR index");
+    RISKAN_REQUIRE((s.seqs != nullptr && s.rows != nullptr) || s.hit_offsets[trials] == 0,
+                   "slot needs seq and row columns");
     RISKAN_REQUIRE(!secondary || s.sampler != nullptr,
                    "secondary sampling needs a per-slot sampler");
     RISKAN_REQUIRE(s.means != nullptr || secondary, "means-path slot needs ELT means");
@@ -86,12 +64,6 @@ struct DeviceEltRow {
 // model only.
 constexpr std::uint64_t kBetaFlops = 220;
 constexpr std::uint64_t kOccTermFlops = 4;
-
-/// Bytes one binary-search probe sequence over `rows` sorted ELT rows
-/// touches (16 bytes per probed cache line, log2(rows) probes).
-std::uint64_t probe_bytes(std::size_t rows) noexcept {
-  return 16 * (64 - static_cast<std::uint64_t>(__builtin_clzll(rows | 1)));
-}
 
 /// Greedy constant-memory residency planning: walk the groups in slot
 /// order, packing each new source's table (capped at device_elt_chunk_rows
@@ -150,16 +122,14 @@ void plan_device_chunks(ExecutionPlan& plan, const EngineConfig& config) {
 
 class SequentialExecutor final : public Executor {
  public:
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
+  void execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
     static const ExecObs metrics("sequential");
     obs::Timer timer("exec.sequential");
     std::vector<Money> scratch(plan.max_group_size);
-    const std::uint64_t found =
-        batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                              plan.secondary, plan.trial_base, 0, plan.trials, scratch);
+    batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
+                          plan.trial_base, 0, plan.trials, scratch);
     metrics.executions.add();
     metrics.seconds.observe(timer.stop());
-    return found;
   }
 };
 
@@ -167,23 +137,20 @@ class ThreadedExecutor final : public Executor {
  public:
   ThreadedExecutor(ThreadPool* pool, std::size_t grain) : pool_(pool), grain_(grain) {}
 
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
+  void execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
     static const ExecObs metrics("threaded");
     obs::Timer timer("exec.threaded");
-    const std::uint64_t found = parallel_reduce<std::uint64_t>(
-        0, plan.trials, 0,
+    parallel_for(
+        0, plan.trials,
         [&](std::size_t lo, std::size_t hi) {
           std::vector<Money> scratch(plan.max_group_size);
-          return batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                                       plan.secondary, plan.trial_base,
-                                       static_cast<TrialId>(lo), static_cast<TrialId>(hi),
-                                       scratch);
+          batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
+                                plan.secondary, plan.trial_base, static_cast<TrialId>(lo),
+                                static_cast<TrialId>(hi), scratch);
         },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; },
         ParallelConfig{pool_, grain_});
     metrics.executions.add();
     metrics.seconds.observe(timer.stop());
-    return found;
   }
 
  private:
@@ -205,7 +172,7 @@ class SimdExecutor final : public Executor {
         threaded_(threaded),
         dispatch_(simd_dispatch()) {}
 
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
+  void execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
     static const ExecObs simd_metrics("simd");
     static const ExecObs threaded_metrics("threaded-simd");
     static const obs::Gauge width_gauge =
@@ -229,28 +196,23 @@ class SimdExecutor final : public Executor {
     width_gauge.set(dispatch_.width);
 
     batch::SimdStats stats;
-    std::uint64_t found = 0;
     if (!threaded_) {
       std::vector<Money> annual_scratch(plan.max_group_size);
-      found = dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                               plan.secondary, plan.trial_base, 0, plan.trials,
-                               annual_scratch, stats);
+      dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
+                       plan.trial_base, 0, plan.trials, annual_scratch, stats);
     } else {
       std::mutex stats_mutex;
-      found = parallel_reduce<std::uint64_t>(
-          0, plan.trials, 0,
+      parallel_for(
+          0, plan.trials,
           [&](std::size_t lo, std::size_t hi) {
             std::vector<Money> annual_scratch(plan.max_group_size);
             batch::SimdStats chunk_stats;
-            const std::uint64_t chunk_found = dispatch_.kernel(
-                plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
-                plan.trial_base, static_cast<TrialId>(lo), static_cast<TrialId>(hi),
-                annual_scratch, chunk_stats);
+            dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox,
+                             plan.secondary, plan.trial_base, static_cast<TrialId>(lo),
+                             static_cast<TrialId>(hi), annual_scratch, chunk_stats);
             const std::lock_guard lock(stats_mutex);
             stats += chunk_stats;
-            return chunk_found;
           },
-          [](std::uint64_t a, std::uint64_t b) { return a + b; },
           ParallelConfig{pool_, grain_});
     }
     vector_occ.add(static_cast<double>(stats.vector_occurrences));
@@ -260,7 +222,6 @@ class SimdExecutor final : public Executor {
     sampler_tail.add(static_cast<double>(stats.sampler_tail));
     metrics.executions.add();
     metrics.seconds.observe(timer.stop());
-    return found;
   }
 
  private:
@@ -283,7 +244,7 @@ class DeviceSimExecutor final : public Executor {
         block_dim_(config.device_block_dim),
         info_(config.device_info) {}
 
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override;
+  void execute(const ExecutionPlan& plan, const Philox4x32& philox) override;
 
  private:
   Device device_;
@@ -301,8 +262,7 @@ const T* rebase(const T* staged, std::uint64_t base) noexcept {
                                     static_cast<std::uintptr_t>(base) * sizeof(T));
 }
 
-std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
-                                         const Philox4x32& philox) {
+void DeviceSimExecutor::execute(const ExecutionPlan& plan, const Philox4x32& philox) {
   static const ExecObs metrics("devicesim");
   obs::Timer exec_timer("exec.devicesim");
   const TrialId trials = plan.trials;
@@ -310,7 +270,6 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
   const int grid_dim = static_cast<int>((static_cast<std::uint64_t>(trials) + block_dim - 1) /
                                         static_cast<std::uint64_t>(block_dim));
   const auto yelt_offsets = plan.yelt_offsets;
-  std::uint64_t lookups = 0;
 
   DeviceRunInfo scratch_info;
   DeviceRunInfo& info = info_ != nullptr ? *info_ : scratch_info;
@@ -355,7 +314,6 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
     const batch::Group& last_group = plan.groups[chunk.group_end - 1];
     const std::uint32_t slot_hi = last_group.begin + last_group.size;
 
-    std::vector<std::uint64_t> block_found(static_cast<std::size_t>(grid_dim), 0);
     std::vector<std::uint8_t> block_staged(static_cast<std::size_t>(grid_dim), 2);
 
     const auto stats = device_.launch_blocks(grid_dim, block_dim, [&](BlockContext& ctx) {
@@ -368,66 +326,31 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
       if (first >= last) {
         return;
       }
-      const std::uint64_t occ_lo = yelt_offsets[first];
-      const std::uint64_t occ_hi = yelt_offsets[last];
 
-      // ---- Stage this block's column slices into shared memory, greedily
-      // in source order. Search sources share the YELT event column, so it
-      // is staged at most once.
+      // ---- Stage this block's hit-column slices into shared memory,
+      // greedily in source order.
       std::vector<const std::uint32_t*> staged_seqs(plan.sources.size(), nullptr);
       std::vector<const std::uint32_t*> staged_rows(plan.sources.size(), nullptr);
-      std::vector<const std::uint32_t*> staged_dense(plan.sources.size(), nullptr);
-      const EventId* staged_events = nullptr;
       bool all_staged = true;
       for (const auto& [src, rows_resident] : chunk.staged_rows) {
         (void)rows_resident;
         const ExecutionPlan::Source& source = plan.sources[src];
-        if (source.gather == batch::Gather::Compact) {
-          const std::uint64_t hit_lo = source.hit_offsets[first];
-          const std::uint64_t n = source.hit_offsets[last] - hit_lo;
-          const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(std::uint32_t);
-          if (2 * bytes + ctx.shared_used() <= ctx.shared_capacity()) {
-            if (n > 0) {
-              auto* seqs = ctx.shared_alloc<std::uint32_t>(n);
-              auto* rows = ctx.shared_alloc<std::uint32_t>(n);
-              std::memcpy(seqs, source.seqs + hit_lo, bytes);
-              std::memcpy(rows, source.rows + hit_lo, bytes);
-              staged_seqs[src] = rebase(seqs, hit_lo);
-              staged_rows[src] = rebase(rows, hit_lo);
-            }
-            ctx.meter_global_read(2 * bytes);
-            ctx.meter_shared_write(2 * bytes);
-          } else {
-            all_staged = false;
-          }
-          continue;
-        }
-        const std::uint64_t n = occ_hi - occ_lo;
+        const std::uint64_t hit_lo = source.hit_offsets[first];
+        const std::uint64_t n = source.hit_offsets[last] - hit_lo;
         const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(std::uint32_t);
-        if (source.gather == batch::Gather::Dense) {
-          if (bytes + ctx.shared_used() <= ctx.shared_capacity()) {
-            if (n > 0) {
-              auto* dense = ctx.shared_alloc<std::uint32_t>(n);
-              std::memcpy(dense, source.dense_rows + occ_lo, bytes);
-              staged_dense[src] = rebase(dense, occ_lo);
-            }
-            ctx.meter_global_read(bytes);
-            ctx.meter_shared_write(bytes);
-          } else {
-            all_staged = false;
+        if (2 * bytes + ctx.shared_used() <= ctx.shared_capacity()) {
+          if (n > 0) {
+            auto* seqs = ctx.shared_alloc<std::uint32_t>(n);
+            auto* rows = ctx.shared_alloc<std::uint32_t>(n);
+            std::memcpy(seqs, source.seqs + hit_lo, bytes);
+            std::memcpy(rows, source.rows + hit_lo, bytes);
+            staged_seqs[src] = rebase(seqs, hit_lo);
+            staged_rows[src] = rebase(rows, hit_lo);
           }
-        } else if (staged_events == nullptr) {
-          if (bytes + ctx.shared_used() <= ctx.shared_capacity()) {
-            if (n > 0) {
-              auto* events = ctx.shared_alloc<EventId>(n);
-              std::memcpy(events, source.search_events + occ_lo, bytes);
-              staged_events = rebase(events, occ_lo);
-            }
-            ctx.meter_global_read(bytes);
-            ctx.meter_shared_write(bytes);
-          } else {
-            all_staged = false;
-          }
+          ctx.meter_global_read(2 * bytes);
+          ctx.meter_shared_write(2 * bytes);
+        } else {
+          all_staged = false;
         }
       }
 
@@ -436,7 +359,6 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
       // staged; spill blocks read the plan's slots in place.
       const bool anything_staged = ctx.shared_used() > 0;
       std::vector<Money> annual_scratch(plan.max_group_size);
-      std::uint64_t found = 0;
       if (anything_staged) {
         std::vector<batch::Slot> local(plan.slots.begin() + slot_lo,
                                        plan.slots.begin() + slot_hi);
@@ -447,37 +369,28 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
         }
         for (std::uint32_t g = chunk.group_begin; g < chunk.group_end; ++g) {
           const std::uint32_t src = plan.group_source[g];
+          if (staged_seqs[src] == nullptr) {
+            continue;
+          }
           const batch::Group& group = plan.groups[g];
           for (std::uint32_t i = 0; i < group.size; ++i) {
             batch::Slot& s = local[group.begin + i - slot_lo];
-            if (staged_seqs[src] != nullptr) {
-              s.seqs = staged_seqs[src];
-              s.rows = staged_rows[src];
-            }
-            if (staged_dense[src] != nullptr) {
-              s.dense_rows = staged_dense[src];
-            }
-            if (s.gather == batch::Gather::Search && staged_events != nullptr) {
-              s.search_events = staged_events;
-            }
+            s.seqs = staged_seqs[src];
+            s.rows = staged_rows[src];
           }
         }
-        found = batch::process_trials(local, local_groups, yelt_offsets, philox,
-                                      plan.secondary, plan.trial_base, first, last,
-                                      annual_scratch);
+        batch::process_trials(local, local_groups, yelt_offsets, philox, plan.secondary,
+                              plan.trial_base, first, last, annual_scratch);
       } else {
-        found = batch::process_trials(
+        batch::process_trials(
             plan.slots,
             std::span<const batch::Group>(plan.groups)
                 .subspan(chunk.group_begin, chunk.group_end - chunk.group_begin),
             yelt_offsets, philox, plan.secondary, plan.trial_base, first, last,
             annual_scratch);
       }
-      block_found[static_cast<std::size_t>(ctx.block_id())] = found;
 
       // ---- Meter the gather/compute traffic analytically, per group.
-      std::uint64_t noncompact_slots = 0;
-      double noncompact_frac = 0.0;
       for (std::uint32_t g = chunk.group_begin; g < chunk.group_end; ++g) {
         const std::uint32_t src = plan.group_source[g];
         const ExecutionPlan::Source& source = plan.sources[src];
@@ -487,74 +400,33 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
             elt_rows == 0 ? 0.0
                           : static_cast<double>(std::min(resident[src], elt_rows)) /
                                 static_cast<double>(elt_rows);
-        if (source.gather == batch::Gather::Compact) {
-          const std::uint64_t hits = source.hit_offsets[last] - source.hit_offsets[first];
-          const std::uint64_t col_bytes = hits * 2 * sizeof(std::uint32_t);
-          if (staged_seqs[src] != nullptr) {
-            ctx.meter_shared_read(col_bytes);
-          } else {
-            ctx.meter_global_read(col_bytes);
-          }
-          const auto row_traffic = hits * static_cast<std::uint64_t>(sizeof(DeviceEltRow));
-          ctx.meter_const_read(static_cast<std::uint64_t>(frac * row_traffic));
-          ctx.meter_global_read(row_traffic - static_cast<std::uint64_t>(frac * row_traffic));
-          if (plan.secondary) {
-            ctx.meter_flops(hits * kBetaFlops);
-          }
-          ctx.meter_flops(hits * kOccTermFlops * group.size);
-          for (std::uint32_t i = 0; i < group.size; ++i) {
-            const batch::Slot& s = plan.slots[group.begin + i];
-            if (s.occurrence_accum != nullptr) {
-              ctx.meter_global_write(hits * sizeof(Money));
-            }
-          }
-          // Annual finish per trial with hits.
-          std::uint64_t busy_trials = 0;
-          for (TrialId t = first; t < last; ++t) {
-            busy_trials += source.hit_offsets[t + 1] > source.hit_offsets[t] ? 1 : 0;
-          }
-          ctx.meter_flops(busy_trials * 6 * group.size);
-          ctx.meter_global_write(busy_trials * 3 * sizeof(Money) * group.size);
+        const std::uint64_t hits = source.hit_offsets[last] - source.hit_offsets[first];
+        const std::uint64_t col_bytes = hits * 2 * sizeof(std::uint32_t);
+        if (staged_seqs[src] != nullptr) {
+          ctx.meter_shared_read(col_bytes);
         } else {
-          const std::uint64_t occ = occ_hi - occ_lo;
-          const std::uint64_t col_bytes = occ * sizeof(std::uint32_t);
-          const bool col_staged = source.gather == batch::Gather::Dense
-                                      ? staged_dense[src] != nullptr
-                                      : staged_events != nullptr;
-          if (col_staged) {
-            ctx.meter_shared_read(col_bytes);
-          } else {
-            ctx.meter_global_read(col_bytes);
-          }
-          if (source.gather == batch::Gather::Search) {
-            // Every occurrence binary-searches the table; probes split
-            // between the resident prefix and the global tail.
-            const std::uint64_t probes = occ * probe_bytes(elt_rows);
-            ctx.meter_const_read(static_cast<std::uint64_t>(frac * probes));
-            ctx.meter_global_read(probes - static_cast<std::uint64_t>(frac * probes));
-          }
-          noncompact_slots += group.size;
-          noncompact_frac = frac;
-          ctx.meter_flops((occ_hi > occ_lo ? last - first : 0) * 6 * group.size);
-          ctx.meter_global_write((occ_hi > occ_lo ? last - first : 0) * 3 *
-                                 sizeof(Money) * group.size);
+          ctx.meter_global_read(col_bytes);
         }
-      }
-      if (noncompact_slots > 0) {
-        // Found-lookup gathers of the dense/search slots: per found row one
-        // packed-row read (const for the resident fraction) plus sampling
-        // and term FLOPs. The per-group split is not tracked — plans are
-        // one noncompact source in practice (the per-layer lowering); a
-        // mix meters under the last source's residency fraction.
-        const auto row_traffic = found * static_cast<std::uint64_t>(sizeof(DeviceEltRow));
-        const auto const_part = static_cast<std::uint64_t>(noncompact_frac *
-                                                           static_cast<double>(row_traffic));
-        ctx.meter_const_read(const_part);
-        ctx.meter_global_read(row_traffic - const_part);
+        const auto row_traffic = hits * static_cast<std::uint64_t>(sizeof(DeviceEltRow));
+        ctx.meter_const_read(static_cast<std::uint64_t>(frac * row_traffic));
+        ctx.meter_global_read(row_traffic - static_cast<std::uint64_t>(frac * row_traffic));
         if (plan.secondary) {
-          ctx.meter_flops(found * kBetaFlops);
+          ctx.meter_flops(hits * kBetaFlops);
         }
-        ctx.meter_flops(found * kOccTermFlops);
+        ctx.meter_flops(hits * kOccTermFlops * group.size);
+        for (std::uint32_t i = 0; i < group.size; ++i) {
+          const batch::Slot& s = plan.slots[group.begin + i];
+          if (s.occurrence_accum != nullptr) {
+            ctx.meter_global_write(hits * sizeof(Money));
+          }
+        }
+        // Annual finish per trial with hits.
+        std::uint64_t busy_trials = 0;
+        for (TrialId t = first; t < last; ++t) {
+          busy_trials += source.hit_offsets[t + 1] > source.hit_offsets[t] ? 1 : 0;
+        }
+        ctx.meter_flops(busy_trials * 6 * group.size);
+        ctx.meter_global_write(busy_trials * 3 * sizeof(Money) * group.size);
       }
 
       block_staged[static_cast<std::size_t>(ctx.block_id())] = all_staged ? 1 : 0;
@@ -563,9 +435,6 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
     info.counters += stats.counters;
     info.modeled_seconds += stats.modeled_seconds;
     ++info.launches;
-    for (const std::uint64_t found : block_found) {
-      lookups += found;
-    }
     for (const std::uint8_t staged : block_staged) {
       if (staged == 1) {
         ++info.shared_staged_blocks;
@@ -576,7 +445,6 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
   }
   metrics.executions.add();
   metrics.seconds.observe(exec_timer.stop());
-  return lookups;
 }
 
 }  // namespace
@@ -592,15 +460,11 @@ ExecutionPlan ExecutionPlan::lower(std::span<const batch::Slot> slots,
   plan.trial_base = config.trial_base;
   plan.secondary = config.secondary_uncertainty;
 
-  validate_slots(slots, yelt_offsets, trials, plan.secondary);
+  validate_slots(slots, trials, plan.secondary);
 
   plan.groups = batch::group_slots(slots);
   for (const batch::Group& g : plan.groups) {
     plan.max_group_size = std::max<std::size_t>(plan.max_group_size, g.size);
-    if (g.size > 1) {
-      RISKAN_REQUIRE(slots[g.begin].gather == batch::Gather::Compact,
-                     "shared-gather groups are compact-mode only");
-    }
   }
 
   plan.group_source.reserve(plan.groups.size());
@@ -611,15 +475,7 @@ ExecutionPlan ExecutionPlan::lower(std::span<const batch::Slot> slots,
       ++src;
     }
     if (src == plan.sources.size()) {
-      Source source;
-      source.gather = lead.gather;
-      source.elt = lead.elt;
-      source.hit_offsets = lead.hit_offsets;
-      source.seqs = lead.seqs;
-      source.rows = lead.rows;
-      source.dense_rows = lead.dense_rows;
-      source.search_events = lead.search_events;
-      plan.sources.push_back(source);
+      plan.sources.push_back(Source{lead.elt, lead.hit_offsets, lead.seqs, lead.rows});
     }
     plan.group_source.push_back(src);
   }
@@ -635,7 +491,7 @@ void ExecutionPlan::rebind(std::span<const batch::Slot> new_slots,
                            TrialId new_trials, TrialId new_trial_base) {
   RISKAN_REQUIRE(new_slots.size() == slots.size(),
                  "rebind requires the lowered slot-list shape");
-  validate_slots(new_slots, new_yelt_offsets, new_trials, secondary);
+  validate_slots(new_slots, new_trials, secondary);
 
   const auto new_groups = batch::group_slots(new_slots);
   RISKAN_REQUIRE(new_groups.size() == groups.size(),
@@ -646,13 +502,10 @@ void ExecutionPlan::rebind(std::span<const batch::Slot> new_slots,
                    "rebind changed the gather-group structure");
     const batch::Slot& lead = new_slots[groups[g].begin];
     Source& src = sources[group_source[g]];
-    RISKAN_REQUIRE(src.gather == lead.gather && src.elt == lead.elt,
-                   "rebind changed a gather source's mode or table");
+    RISKAN_REQUIRE(src.elt == lead.elt, "rebind changed a gather source's table");
     src.hit_offsets = lead.hit_offsets;
     src.seqs = lead.seqs;
     src.rows = lead.rows;
-    src.dense_rows = lead.dense_rows;
-    src.search_events = lead.search_events;
   }
   // Groups sharing a source must still share columns in the new block, or
   // the device's per-source staging would misattribute reads.

@@ -1,8 +1,8 @@
 // Execution plans and pluggable executors — how every stage-2 request
 // reaches the one trial kernel.
 //
-// The repo's five aggregate-analysis entry points (per-contract run,
-// batched run, scenario sweep, MapReduce map task, pricer run_layer) all
+// The repo's aggregate-analysis entry points (engine run, multi-book
+// runner, scenario sweep, MapReduce map task, pricer run_layer) all
 // reduce to the same question: given a finished list of batch::Slots over
 // one YELT, run core::batch::process_trials over [0, trials) on some
 // hardware. This layer separates the two halves:
@@ -18,7 +18,7 @@
 //       SequentialExecutor — the whole range inline on the caller's
 //           thread; never touches a pool (MapReduce map tasks run from
 //           pool workers and rely on this).
-//       ThreadedExecutor — parallel_reduce over trial chunks
+//       ThreadedExecutor — parallel_for over trial chunks
 //           (EngineConfig::trial_grain is the chunk knob).
 //       SimdExecutor — the vectorized trial kernel (core/batch_simd.hpp)
 //           on the runtime-dispatched ISA (core/simd.hpp); Backend::Simd
@@ -30,7 +30,8 @@
 //           device_block_dim-trial blocks, each block staging its slot
 //           column slices into the 48 KiB shared-memory arena when they
 //           fit and running process_trials over its trial range against
-//           constant-memory-resident ELT tables. Traffic is metered per
+//           constant-memory-resident ELT tables. Every slot gathers through
+//           hit-compacted CSR columns, so a block stages 8 bytes per hit. Traffic is metered per
 //           access class and fed to the calibrated performance model
 //           (DeviceRunInfo). Because residency is per *source* rather
 //           than per layer, batched books and scenario sweeps ride the
@@ -72,13 +73,10 @@ struct ExecutionPlan {
   /// One distinct gather source per ELT-backed column set, in first-use
   /// group order — the unit of device staging.
   struct Source {
-    batch::Gather gather = batch::Gather::Compact;
     const data::EventLossTable* elt = nullptr;
-    const std::uint64_t* hit_offsets = nullptr;  // compact mode
+    const std::uint64_t* hit_offsets = nullptr;
     const std::uint32_t* seqs = nullptr;
     const std::uint32_t* rows = nullptr;
-    const std::uint32_t* dense_rows = nullptr;  // dense mode
-    const EventId* search_events = nullptr;     // search mode
   };
   std::vector<Source> sources;
   /// Group index → index into `sources`.
@@ -99,17 +97,16 @@ struct ExecutionPlan {
   };
   std::vector<DeviceChunk> device_chunks;
 
-  /// Lowers a finished slot list: groups slots, sizes scratch, validates
-  /// gather modes (each slot exactly one mode; dense/search slots must be
-  /// transform-inert singleton groups) and — when config.backend is
-  /// DeviceSim — plans constant-memory residency chunks.
+  /// Lowers a finished slot list: validates each slot's gather and
+  /// sampling inputs, groups slots, sizes scratch and — when
+  /// config.backend is DeviceSim — plans constant-memory residency chunks.
   static ExecutionPlan lower(std::span<const batch::Slot> slots,
                              std::span<const std::uint64_t> yelt_offsets, TrialId trials,
                              const EngineConfig& config);
 
   /// Re-binds a lowered plan to a new trial block of the *same* request:
-  /// the slot list must keep the length, gather modes, grouping structure
-  /// and ELT tables it was lowered with — only the gather/output pointers,
+  /// the slot list must keep the length, grouping structure and ELT
+  /// tables it was lowered with — only the gather/output pointers,
   /// the trial range and the sampling stream base change. Groups, scratch
   /// sizing and the device residency plan are structural, so they carry
   /// over; gather sources are re-pointed at the block's columns. This is
@@ -128,9 +125,7 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Runs the plan's full trial range through batch::process_trials.
-  /// Returns the kernel's dense/search found-lookup count (0 for all-
-  /// compact plans, whose hit telemetry comes from their resolutions).
-  virtual std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) = 0;
+  virtual void execute(const ExecutionPlan& plan, const Philox4x32& philox) = 0;
 };
 
 /// Executor for config.backend, wired with the config's pool / grain /

@@ -20,11 +20,9 @@ namespace riskan::core::batch {
 namespace {
 
 bool same_gather(const Slot& a, const Slot& b) noexcept {
-  return a.gather == b.gather && a.hit_offsets == b.hit_offsets && a.seqs == b.seqs &&
-         a.rows == b.rows && a.dense_rows == b.dense_rows &&
-         a.search_events == b.search_events && a.elt == b.elt && a.means == b.means &&
-         a.sampler == b.sampler && a.contract_id == b.contract_id &&
-         a.layer_id == b.layer_id;
+  return a.hit_offsets == b.hit_offsets && a.seqs == b.seqs && a.rows == b.rows &&
+         a.elt == b.elt && a.means == b.means && a.sampler == b.sampler &&
+         a.contract_id == b.contract_id && a.layer_id == b.layer_id;
 }
 
 /// The conditioned occurrence of one (slot, trial), if any: applied before
@@ -105,67 +103,24 @@ inline void process_singleton_trial(const Slot& s, const Philox4x32& philox,
   finish_slot_trial(s, t, annual);
 }
 
-/// Dense/search singleton: one trial of a slot that walks the *full*
-/// occurrence range [trial_begin, trial_end) — `row_of(i)` maps the global
-/// occurrence index to an ELT row or npos. This is the legacy per-contract
-/// kernel's loop body (same sampling keys, same accumulation order), kept
-/// as a gather mode of the one trial kernel. Transforms are inert on these
-/// slots by plan contract. Returns the found-lookup count.
-template <typename RowOf>
-inline std::uint64_t process_full_range_trial(const Slot& s, const Philox4x32& philox,
-                                              bool secondary, TrialId trial_base, TrialId t,
-                                              std::uint64_t trial_begin,
-                                              std::uint64_t trial_end, const RowOf& row_of) {
-  Money annual = 0.0;
-  std::uint64_t found = 0;
-  for (std::uint64_t i = trial_begin; i < trial_end; ++i) {
-    const std::size_t row = row_of(i);
-    if (row == data::EventLossTable::npos) {
-      continue;
-    }
-    ++found;
-    Money ground_up;
-    if (secondary) {
-      auto stream = occurrence_stream(philox, s.contract_id, s.layer_id, trial_base + t,
-                                      static_cast<std::uint32_t>(i - trial_begin));
-      ground_up = s.sampler->sample(row, stream);
-    } else {
-      ground_up = s.means[row];
-    }
-    const Money occ = finance::apply_occurrence(s.terms, ground_up);
-    annual += occ;
-    if (s.occurrence_accum != nullptr && occ > 0.0) {
-      s.occurrence_accum[i] += occ * s.terms.share;
-    }
-  }
-  finish_slot_trial(s, t, annual);
-  return found;
-}
-
-inline std::uint64_t process_noncompact_trial(const Slot& s, const Philox4x32& philox,
-                                              bool secondary, TrialId trial_base, TrialId t,
-                                              std::uint64_t trial_begin,
-                                              std::uint64_t trial_end) {
-  if (s.gather == Gather::Dense) {
-    const std::uint32_t* dense = s.dense_rows;
-    return process_full_range_trial(
-        s, philox, secondary, trial_base, t, trial_begin, trial_end,
-        [dense](std::uint64_t i) {
-          const std::uint32_t row = dense[i];
-          return row == data::ResolvedYelt::kNoLoss ? data::EventLossTable::npos
-                                                    : static_cast<std::size_t>(row);
-        });
-  }
-  const data::EventLossTable* elt = s.elt;
-  const EventId* events = s.search_events;
-  return process_full_range_trial(
-      s, philox, secondary, trial_base, t, trial_begin, trial_end,
-      [elt, events](std::uint64_t i) { return elt->find(events[i]); });
-}
-
-inline bool compact_gather(const Slot& s) noexcept { return s.gather == Gather::Compact; }
-
 }  // namespace
+
+Slot make_slot(const finance::Contract& contract, const finance::Layer& layer,
+               const data::CompactResolvedYelt& compact, const SecondarySampler* sampler) {
+  Slot slot;
+  slot.hit_offsets = compact.trial_offsets().data();
+  slot.seqs = compact.seqs().data();
+  slot.rows = compact.rows().data();
+  slot.elt = &contract.elt();
+  slot.means = contract.elt().mean_loss().data();
+  slot.sampler = sampler;
+  slot.contract_id = contract.id();
+  slot.layer_id = layer.id;
+  slot.terms = layer.terms;
+  slot.reinstatements = layer.reinstatements;
+  slot.upfront_premium = layer.upfront_premium;
+  return slot;
+}
 
 std::vector<Group> group_slots(std::span<const Slot> slots) {
   std::vector<Group> groups;
@@ -181,12 +136,10 @@ std::vector<Group> group_slots(std::span<const Slot> slots) {
   return groups;
 }
 
-std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group> groups,
-                             std::span<const std::uint64_t> yelt_offsets,
-                             const Philox4x32& philox, bool secondary, TrialId trial_base,
-                             TrialId lo, TrialId hi, std::span<Money> annual_scratch) {
-  std::uint64_t noncompact_found = 0;
-
+void process_trials(std::span<const Slot> slots, std::span<const Group> groups,
+                    std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
+                    bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
+                    std::span<Money> annual_scratch) {
   // The base batched engine flattens to all-inert singleton groups; that
   // regime takes a dedicated loop whose body is exactly the pre-scenario
   // kernel (slots iterated directly, no group machinery, transform hooks
@@ -205,15 +158,10 @@ std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group>
     for (TrialId t = lo; t < hi; ++t) {
       const std::uint64_t trial_begin = yelt_offsets[t];
       for (const Slot& s : slots) {
-        if (compact_gather(s)) {
-          process_singleton_trial<false>(s, philox, secondary, trial_base, t, trial_begin);
-        } else {
-          noncompact_found += process_noncompact_trial(s, philox, secondary, trial_base,
-                                                       t, trial_begin, yelt_offsets[t + 1]);
-        }
+        process_singleton_trial<false>(s, philox, secondary, trial_base, t, trial_begin);
       }
     }
-    return noncompact_found;
+    return;
   }
 
   for (TrialId t = lo; t < hi; ++t) {
@@ -222,10 +170,7 @@ std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group>
       const Slot* gs = slots.data() + group.begin;
       const std::size_t gsize = group.size;
       if (gsize == 1) {
-        if (!compact_gather(gs[0])) {
-          noncompact_found += process_noncompact_trial(gs[0], philox, secondary, trial_base,
-                                                       t, trial_begin, yelt_offsets[t + 1]);
-        } else if (inert_transforms(gs[0])) {
+        if (inert_transforms(gs[0])) {
           process_singleton_trial<false>(gs[0], philox, secondary, trial_base, t,
                                          trial_begin);
         } else {
@@ -305,7 +250,6 @@ std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group>
       }
     }
   }
-  return noncompact_found;
 }
 
 void finalize_oep(std::span<Money> oep, std::span<const Money> occurrence_accum,
@@ -406,52 +350,6 @@ void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
   }
 }
 
-std::uint64_t fill_ground_up_dense_range(const Slot& s, const Philox4x32& philox,
-                                         TrialId trial_base, TrialId t_first,
-                                         std::span<const std::uint64_t> yelt_offsets,
-                                         std::uint64_t i_begin, std::uint64_t i_end,
-                                         Money* out, SimdStats& stats) {
-  // Dense rows carry kNoLoss sentinels: compact the live occurrences into
-  // a batch (rows + stream keys + output positions), sample lane-parallel,
-  // scatter back. Sentinel cells get exact +0.0 so the vector pass can add
-  // them where the scalar kernel skips (annual sums of non-negatives).
-  const std::uint64_t hi = slot_hi_key(s);
-  std::uint32_t rows[kFillBatch];
-  std::uint64_t lo[kFillBatch];
-  std::uint32_t pos[kFillBatch];
-  Money buf[kFillBatch];
-  std::uint64_t found = 0;
-  TrialId t = t_first;
-  for (std::uint64_t b = i_begin; b < i_end; b += kFillBatch) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kFillBatch, i_end - b));
-    std::size_t live = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t i = b + j;
-      while (i >= yelt_offsets[t + 1]) {
-        ++t;
-      }
-      const std::uint32_t row = s.dense_rows[i];
-      if (row == data::ResolvedYelt::kNoLoss) {
-        out[i - i_begin] = 0.0;
-        continue;
-      }
-      rows[live] = row;
-      lo[live] = stream_lo_key(trial_base + t,
-                               static_cast<std::uint32_t>(i - yelt_offsets[t]));
-      pos[live] = static_cast<std::uint32_t>(i - i_begin);
-      ++live;
-    }
-    found += live;
-    s.sampler->sample_lanes(philox, hi, rows, lo, live, buf, stats.sampler_fast,
-                            stats.sampler_tail);
-    for (std::size_t j = 0; j < live; ++j) {
-      out[pos[j]] = buf[j];
-    }
-  }
-  return found;
-}
-
 }  // namespace detail
 
 }  // namespace riskan::core::batch
@@ -476,12 +374,14 @@ struct AnalysisRun {
 /// in-memory run is the one-block special case.
 void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
                const EngineConfig& config) {
-  obs::Timer timer("batch.run_group");
-  static const obs::Counter group_runs =
-      obs::MetricsRegistry::global().counter("batch.group_runs");
+  obs::Timer timer("engine.run");
+  static const obs::Counter runs_counter =
+      obs::MetricsRegistry::global().counter("engine.runs");
+  static const obs::Histogram block_hist =
+      obs::MetricsRegistry::global().histogram("engine.block_seconds");
   static const obs::Histogram resolve_hist =
-      obs::MetricsRegistry::global().histogram("batch.resolve_seconds");
-  group_runs.add();
+      obs::MetricsRegistry::global().histogram("engine.resolve_seconds");
+  runs_counter.add();
   const TrialId trials = source.trials();
   // Pool-free backends must stay off the pool end to end (single-thread
   // contract; MapReduce map tasks run them from pool workers, where
@@ -529,15 +429,16 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
 
   for_each_trial_block(source, config, local_cache,
                        [&](const data::TrialBlock& block, TrialId base) {
+    obs::Timer block_timer("engine.block");
     const data::YearEventLossTable& yelt = *block.yelt;
     const TrialId block_trials = yelt.trials();
     const auto yelt_offsets = yelt.offsets();
 
-    // Per-block resolution of every contract's ELT, shared through the
-    // cache, then hit-compacted for the gather kernel.
+    // Per-block compact resolution of every contract's ELT, shared through
+    // the cache.
     for (AnalysisRun& run : group) {
       const finance::Portfolio& portfolio = *run.portfolio;
-      obs::Timer resolve_timer("batch.resolve");
+      obs::Timer resolve_timer("engine.resolve");
       std::vector<const data::EventLossTable*> elts;
       elts.reserve(portfolio.size());
       for (const auto& contract : portfolio.contracts()) {
@@ -564,18 +465,9 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
         run.result.elt_lookups +=
             entry.compact->hits() * static_cast<std::uint64_t>(contract.layers().size());
         for (const auto& layer : contract.layers()) {
-          batch::Slot slot;
-          slot.hit_offsets = entry.compact->trial_offsets().data();
-          slot.seqs = entry.compact->seqs().data();
-          slot.rows = entry.compact->rows().data();
-          slot.elt = &contract.elt();
-          slot.means = contract.elt().mean_loss().data();
-          slot.sampler = config.secondary_uncertainty ? &run.samplers[c] : nullptr;
-          slot.terms = layer.terms;
-          slot.reinstatements = layer.reinstatements;
-          slot.upfront_premium = layer.upfront_premium;
-          slot.contract_id = contract.id();
-          slot.layer_id = layer.id;
+          batch::Slot slot = batch::make_slot(
+              contract, layer, *entry.compact,
+              config.secondary_uncertainty ? &run.samplers[c] : nullptr);
           slot.contract_losses =
               config.keep_contract_ylts
                   ? run.result.contract_ylts[c].mutable_losses().subspan(
@@ -609,7 +501,7 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
     } else {
       plan.rebind(slots, yelt_offsets, block_trials, base);
     }
-    (void)executor->execute(plan, philox);
+    executor->execute(plan, philox);
 
     for (AnalysisRun& run : group) {
       if (config.compute_oep) {
@@ -620,6 +512,7 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
       run.result.occurrences_processed +=
           yelt.entries() * static_cast<std::uint64_t>(run.portfolio->layer_count());
     }
+    block_hist.observe(block_timer.stop());
   });
 
   // The pass is shared, so each analysis reports the group's wall-clock —
@@ -708,10 +601,8 @@ std::vector<EngineResult> PortfolioBatchRunner::run() const {
 EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
                                  const data::YearEventLossTable& yelt,
                                  const EngineConfig& config) {
-  PortfolioBatchRunner runner(config);
-  runner.add(portfolio, yelt);
-  auto results = runner.run();
-  return std::move(results.front());
+  data::InMemorySource source(yelt);
+  return run_portfolio_batch(portfolio, source, config);
 }
 
 EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
@@ -719,13 +610,11 @@ EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
   validate_engine_config(config);
   RISKAN_REQUIRE(!portfolio.empty(), "portfolio must contain contracts");
   RISKAN_REQUIRE(source.trials() > 0, "trial source must contain trials");
+  // Adaptive stopping wraps this very entry point: the driver re-enters it
+  // per decision block with adaptivity cleared, so everything below runs
+  // unchanged — bit-identically — whether the budget is fixed or adaptive.
   if (config.adaptive.enabled()) {
-    // The adaptive driver re-enters run_aggregate_analysis per decision
-    // block; forcing batch_contracts keeps each block on this batched
-    // lowering (outputs are bit-identical either way).
-    EngineConfig batched = config;
-    batched.batch_contracts = true;
-    return adaptive::run_adaptive_aggregate(portfolio, source, batched);
+    return adaptive::run_adaptive_aggregate(portfolio, source, config);
   }
   obs::RunObsScope obs_scope(config.obs);
   AnalysisRun run;

@@ -1,34 +1,27 @@
 // The trial kernel of aggregate analysis — core::batch::process_trials —
-// and the portfolio-batched front end over it.
+// and the portfolio-batched front end over it, which is the engine's one
+// lowering.
 //
-// Since the executor refactor this file holds the repo's ONE stage-2 trial
-// loop. Every entry point (per-contract run, batched run, scenario sweep,
-// MapReduce map task, pricer run_layer) lowers to a list of Slots, is
-// shaped into an exec::ExecutionPlan, and is dispatched onto this kernel by
-// an exec::Executor (Sequential / Threaded / DeviceSim) — see
-// src/core/exec.hpp for the plan/executor layer.
+// This file holds the repo's ONE stage-2 trial loop. Every entry point
+// (run_aggregate_analysis, the multi-book runner, the scenario sweep,
+// MapReduce map tasks, dist workers, the pricer's run_layer) lowers to a
+// list of Slots, is shaped into an exec::ExecutionPlan, and is dispatched
+// onto this kernel by an exec::Executor (Sequential / Threaded / DeviceSim
+// / Simd) — see src/core/exec.hpp for the plan/executor layer.
 //
-// A Slot is one consumer of the streamed pass — a (contract, layer), with
-// one of three gather modes:
-//   compact — hit-compacted CSR columns (data::CompactResolvedYelt): the
-//             batched regime; the pass touches 8 bytes per *hit*.
-//   dense   — the full pre-joined row column (data::ResolvedYelt): the
-//             per-contract regime (`batch_contracts = false`); the pass
-//             touches 4 bytes and branches per *occurrence*, which is the
-//             legacy per-contract kernel's access pattern and what E10's
-//             batched-vs-loop ratio measures.
-//   search  — per-occurrence binary search of the contract's ELT: the
-//             `use_resolver = false` reference path of the equivalence
-//             tests and the E2b ablation.
-// All three run through the same per-trial loop structure, so outputs are
-// bit-identical across modes, backends and scheduling (tests enforce).
+// A Slot is one consumer of the streamed pass — a (contract, layer) — and
+// gathers through its contract's hit-compacted CSR columns
+// (data::CompactResolvedYelt): the pass touches 8 bytes per *hit* and
+// spends no branches on occurrences the contract's ELT does not cover.
 //
-// The batched path pre-resolves every contract's ELT against the YELT
-// (data::MultiResolution, hit-compacted through the ResolverCache) and
-// flattens the book into compact slots; a single data-parallel pass over
-// trial chunks then walks each trial once and feeds every slot — per-
-// occurrence terms, annual terms, OEP scratch and reinstatement premium
-// exactly as the per-contract lowering orders them.
+// The front end resolves every contract's ELT against the YELT
+// (data::MultiResolution, shared through the ResolverCache) and flattens
+// the book into slots; a single data-parallel pass over trial chunks then
+// walks each trial once and feeds every slot — per-occurrence terms,
+// annual terms, OEP scratch and reinstatement premium in (contract, layer)
+// order, which is the order the paper's per-contract loop nest would
+// accumulate in. Outputs are bit-identical across backends and scheduling,
+// and equal to a naive per-contract oracle (tests enforce).
 //
 // The runner additionally groups *multiple* analyses by YELT identity:
 // books added over the same table are served by the same streamed pass,
@@ -42,6 +35,7 @@
 #include "core/aggregate_engine.hpp"
 #include "core/secondary.hpp"
 #include "data/elt.hpp"
+#include "data/resolved_yelt.hpp"
 #include "data/yelt.hpp"
 #include "finance/contract.hpp"
 #include "parallel/parallel_for.hpp"
@@ -50,13 +44,6 @@ namespace riskan::core::batch {
 
 /// Sentinel in a mask's adjusted-seq column: the occurrence is excluded.
 inline constexpr std::uint32_t kMaskedOut = ~std::uint32_t{0};
-
-/// How a slot reaches its ELT rows (see the file header).
-enum class Gather : std::uint8_t {
-  Compact,  ///< hit-compacted CSR columns (batched regime)
-  Dense,    ///< full pre-joined row column (per-contract regime)
-  Search,   ///< per-occurrence binary search (use_resolver=false reference)
-};
 
 /// One consumer of the streamed pass: a (contract, layer) with its gather
 /// inputs, optional per-slot transforms, financial terms and output sinks.
@@ -80,21 +67,13 @@ enum class Gather : std::uint8_t {
 ///                           every trial (post-event conditioning; the value
 ///                           arrives pre-scaled by intensity and loss_scale).
 struct Slot {
-  // Gather inputs — shared by every slot of a gather group. `gather`
-  // selects the mode; the mode's columns must be set (they may be null
-  // only when the YELT/hit span is empty). `elt` is always required (the
-  // DeviceSim executor sizes constant-memory residency from it; search
-  // mode probes it).
-  Gather gather = Gather::Compact;
+  // Gather inputs — shared by every slot of a gather group. The hit
+  // columns may be null only when the hit span is empty. `elt` is always
+  // required (the DeviceSim executor sizes constant-memory residency from
+  // it).
   const std::uint64_t* hit_offsets = nullptr;  // compact CSR index, by trial
   const std::uint32_t* seqs = nullptr;         // in-trial occurrence sequence
   const std::uint32_t* rows = nullptr;         // ELT rows, parallel to seqs
-  /// Dense mode: full row column aligned with yelt.events()
-  /// (data::ResolvedYelt::rows); entries are ELT rows or kNoLoss.
-  const std::uint32_t* dense_rows = nullptr;
-  /// Search mode: the YELT event column; each occurrence binary-searches
-  /// `elt` in-kernel (the legacy `use_resolver = false` reference path).
-  const EventId* search_events = nullptr;
   const data::EventLossTable* elt = nullptr;
   const Money* means = nullptr;
   const SecondarySampler* sampler = nullptr;  // null = use ELT means
@@ -119,6 +98,13 @@ struct Slot {
   Money* conditioned_accum = nullptr;   // per-trial injected-occurrence scratch
 };
 
+/// The slot of one (contract, layer) gathering through `compact` (the
+/// contract's resolution against the pass's YELT), with inert transforms
+/// and no output sinks set. `sampler` is null when secondary sampling is
+/// off.
+Slot make_slot(const finance::Contract& contract, const finance::Layer& layer,
+               const data::CompactResolvedYelt& compact, const SecondarySampler* sampler);
+
 /// Contiguous run of slots sharing gather inputs and sampling identity
 /// (contract, layer): the kernel computes each occurrence's ground-up loss
 /// once per group and feeds it to every slot, which is where an S-scenario
@@ -136,20 +122,16 @@ std::vector<Group> group_slots(std::span<const Slot> slots);
 /// group, each occurrence's ground-up loss is resolved once (sample or ELT
 /// mean) and every slot of the group applies its own transforms and terms;
 /// a masked slot whose adjusted sequence differs re-samples under the
-/// filtered-table stream key. Accumulation order per output slot matches
-/// the per-contract lowering (annual sums in occurrence order; shared
-/// accumulators in slot order), which is what keeps inert-transform slots
-/// bit-identical across lowerings. State is indexed by trial (or the
-/// trial's occurrence range), so disjoint chunks never race.
-/// `annual_scratch` needs one entry per slot of the largest group.
-///
-/// Returns the number of occurrences that resolved to an ELT row in dense
-/// and search slots (the legacy lookup telemetry; compact slots report
-/// hits via their resolution instead and contribute 0 here).
-std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group> groups,
-                             std::span<const std::uint64_t> yelt_offsets,
-                             const Philox4x32& philox, bool secondary, TrialId trial_base,
-                             TrialId lo, TrialId hi, std::span<Money> annual_scratch);
+/// filtered-table stream key. Accumulation order per output cell is the
+/// per-contract loop nest's (annual sums in occurrence order; shared
+/// accumulators in slot order), which is what keeps the outputs bit-
+/// identical to the naive oracle and across chunkings. State is indexed
+/// by trial (or the trial's occurrence range), so disjoint chunks never
+/// race. `annual_scratch` needs one entry per slot of the largest group.
+void process_trials(std::span<const Slot> slots, std::span<const Group> groups,
+                    std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
+                    bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
+                    std::span<Money> annual_scratch);
 
 /// Per-trial OEP finalisation: oep[t] = max over the trial's occurrence
 /// accumulator range, seeded by the conditioned per-trial slot when
@@ -163,21 +145,20 @@ void finalize_oep(std::span<Money> oep, std::span<const Money> occurrence_accum,
 
 namespace riskan::core {
 
-/// Batched counterpart of run_aggregate_analysis: same inputs, same
-/// bit-identical EngineResult, one streamed YELT pass for the whole
-/// portfolio instead of one per (contract, layer). The resolver is
-/// intrinsic to this path, so `config.use_resolver` is ignored.
+/// The engine's one lowering behind run_aggregate_analysis, which forwards
+/// here: one streamed YELT pass for the whole portfolio. Same inputs and
+/// the same EngineResult as run_aggregate_analysis.
 EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
                                  const data::YearEventLossTable& yelt,
                                  const EngineConfig& config = {});
 
-/// Batched run over any data::TrialSource: the out-of-core twin of the
-/// in-memory overload (which wraps its table in a one-block source and
-/// calls this). The plan is lowered against the first trial block and
-/// re-bound per block — resolutions per block through the ResolverCache,
-/// per-trial outputs sliced by block, the block's trial offset riding the
-/// sampling stream base — so a streamed run is bit-identical to the
-/// in-memory one on every backend.
+/// Run over any data::TrialSource: the out-of-core twin of the in-memory
+/// overload (which wraps its table in a one-block source and calls this).
+/// The plan is lowered against the first trial block and re-bound per
+/// block — resolutions per block through the ResolverCache, per-trial
+/// outputs sliced by block, the block's trial offset riding the sampling
+/// stream base — so a streamed run is bit-identical to the in-memory one
+/// on every backend.
 EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
                                  data::TrialSource& source,
                                  const EngineConfig& config = {});

@@ -11,7 +11,7 @@
 // high-water = the pipeline's decoded blocks plus the output YLTs, and the
 // output is bit-identical to the in-memory run (tested) with every engine
 // feature available: all backends (Sequential/Threaded/DeviceSim),
-// `batch_contracts`, per-contract YLTs, OEP and reinstatement premium.
+// per-contract YLTs, OEP and reinstatement premium.
 // Scenario sweeps stream the same way via scenario::run_scenario_sweep's
 // TrialSource overload.
 #pragma once
@@ -45,7 +45,7 @@ std::size_t save_yelt_chunked(const data::YearEventLossTable& yelt, const std::s
 /// Streams aggregate analysis over a chunked YELT file: a thin entry point
 /// that opens a data::ChunkedFileSource (prefetch on) and lowers through
 /// core::exec like every other run. `config` is honoured in full — all
-/// backends, batching, per-contract YLTs and OEP included — and the YLTs
+/// backends, per-contract YLTs and OEP included — and the YLTs
 /// are bit-identical to run_aggregate_analysis over the in-memory table.
 StreamingResult run_aggregate_streaming(const finance::Portfolio& portfolio,
                                         const std::string& chunked_yelt_path,

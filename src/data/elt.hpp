@@ -53,8 +53,8 @@ class EventLossTable {
   std::span<const Money> exposure() const noexcept { return exposure_; }
 
   /// Index of the event in the table, or npos when the event causes no loss
-  /// to this contract. O(log n) binary search — the reference lookup of the
-  /// resolver-off path.
+  /// to this contract. O(log n) binary search — the resolver's lookup for
+  /// tables without a row_lookup().
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t find(EventId event) const noexcept;
 

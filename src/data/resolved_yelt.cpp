@@ -81,18 +81,18 @@ ResolvedYelt ResolvedYelt::build(const EventLossTable& elt, const YearEventLossT
   return resolved;
 }
 
-CompactResolvedYelt CompactResolvedYelt::build(const ResolvedYelt& resolved,
+CompactResolvedYelt CompactResolvedYelt::build(const EventLossTable& elt,
                                                const YearEventLossTable& yelt,
                                                ParallelConfig cfg) {
-  RISKAN_REQUIRE(resolved.size() == yelt.entries(),
-                 "resolution was built against a different YELT");
+  RISKAN_REQUIRE(elt.size() < static_cast<std::size_t>(ResolvedYelt::kNoLoss),
+                 "ELT too large for uint32 row indices");
 
   CompactResolvedYelt compact;
   const TrialId trials = yelt.trials();
   compact.trial_offsets_.assign(static_cast<std::size_t>(trials) + 1, 0);
 
   const auto offsets = yelt.offsets();
-  const auto rows = resolved.rows();
+  const auto events = yelt.events();
 
   // Guard before the parallel region: pool tasks must not throw (a throw
   // there terminates instead of surfacing the ContractViolation).
@@ -102,51 +102,75 @@ CompactResolvedYelt CompactResolvedYelt::build(const ResolvedYelt& resolved,
                    "trial too large for uint32 occurrence sequence numbers");
   }
 
-  // Pass 1: per-trial hit counts, streamed in parallel trial slabs. Counts
-  // land in trial_offsets_[t + 1] so the exclusive prefix sum below turns
-  // the vector into the CSR index in place.
-  auto* counts = compact.trial_offsets_.data();
-  parallel_for(
-      0, trials,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t t = lo; t < hi; ++t) {
-          std::uint64_t found = 0;
-          for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
-            found += rows[i] != ResolvedYelt::kNoLoss ? 1 : 0;
+  // Both passes look each event up afresh rather than materialising an
+  // occurrence-aligned row column between them: at a typical 10% catalogue
+  // coverage that column would be ~5x the bytes of the compact output.
+  // `row_of` is one of two lookups chosen once per build.
+  const auto passes = [&](const auto& row_of) {
+    // Pass 1: per-trial hit counts, streamed in parallel trial slabs.
+    // Counts land in trial_offsets_[t + 1] so the exclusive prefix sum
+    // below turns the vector into the CSR index in place.
+    auto* counts = compact.trial_offsets_.data();
+    parallel_for(
+        0, trials,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t t = lo; t < hi; ++t) {
+            std::uint64_t found = 0;
+            for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
+              found += row_of(events[i]) != ResolvedYelt::kNoLoss ? 1 : 0;
+            }
+            counts[t + 1] = found;
           }
-          counts[t + 1] = found;
-        }
-      },
-      cfg);
-  for (TrialId t = 0; t < trials; ++t) {
-    counts[t + 1] += counts[t];
-  }
+        },
+        cfg);
+    for (TrialId t = 0; t < trials; ++t) {
+      counts[t + 1] += counts[t];
+    }
 
-  // Pass 2: fill the hit columns. Each trial writes its own CSR range, so
-  // slabs never overlap and the output is scheduling-independent.
-  compact.seqs_.resize(compact.trial_offsets_.back());
-  compact.rows_.resize(compact.trial_offsets_.back());
-  auto* seqs_out = compact.seqs_.data();
-  auto* rows_out = compact.rows_.data();
-  RISKAN_DEBUG_ASSERT_ALIGNED(compact.trial_offsets_.data());
-  RISKAN_DEBUG_ASSERT_ALIGNED(seqs_out);
-  RISKAN_DEBUG_ASSERT_ALIGNED(rows_out);
-  parallel_for(
-      0, trials,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t t = lo; t < hi; ++t) {
-          std::uint64_t k = counts[t];
-          const std::uint64_t begin = offsets[t];
-          for (std::uint64_t i = begin; i < offsets[t + 1]; ++i) {
-            if (rows[i] != ResolvedYelt::kNoLoss) {
-              seqs_out[k] = static_cast<std::uint32_t>(i - begin);
-              rows_out[k] = rows[i];
-              ++k;
+    // Pass 2: fill the hit columns. Each trial writes its own CSR range,
+    // so slabs never overlap and the output is scheduling-independent.
+    compact.seqs_.resize(compact.trial_offsets_.back());
+    compact.rows_.resize(compact.trial_offsets_.back());
+    auto* seqs_out = compact.seqs_.data();
+    auto* rows_out = compact.rows_.data();
+    RISKAN_DEBUG_ASSERT_ALIGNED(counts);
+    RISKAN_DEBUG_ASSERT_ALIGNED(seqs_out);
+    RISKAN_DEBUG_ASSERT_ALIGNED(rows_out);
+    parallel_for(
+        0, trials,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t t = lo; t < hi; ++t) {
+            std::uint64_t k = counts[t];
+            const std::uint64_t begin = offsets[t];
+            for (std::uint64_t i = begin; i < offsets[t + 1]; ++i) {
+              const std::uint32_t row = row_of(events[i]);
+              if (row != ResolvedYelt::kNoLoss) {
+                seqs_out[k] = static_cast<std::uint32_t>(i - begin);
+                rows_out[k] = row;
+                ++k;
+              }
             }
           }
-        }
-      },
-      cfg);
+        },
+        cfg);
+  };
+
+  // Tables with a dense id range carry an O(1) event→row lookup (the hot
+  // path — out-of-core runs resolve every block); sparse tables
+  // binary-search. Both produce identical row indices.
+  const auto lookup = elt.row_lookup();
+  if (!lookup.empty()) {
+    static_assert(EventLossTable::kNoRow == ResolvedYelt::kNoLoss);
+    passes([lookup](EventId e) {
+      return e < lookup.size() ? lookup[e] : ResolvedYelt::kNoLoss;
+    });
+  } else {
+    passes([&elt](EventId e) {
+      const std::size_t row = elt.find(e);
+      return row == EventLossTable::npos ? ResolvedYelt::kNoLoss
+                                         : static_cast<std::uint32_t>(row);
+    });
+  }
   return compact;
 }
 
@@ -158,8 +182,7 @@ MultiResolution MultiResolution::build(std::span<const EventLossTable* const> el
   set.entries_.reserve(elts.size());
   for (const EventLossTable* elt : elts) {
     RISKAN_REQUIRE(elt != nullptr, "MultiResolution: null ELT");
-    auto cached = resolver.get_or_build_compact(*elt, yelt, cfg);
-    set.entries_.push_back(Entry{std::move(cached.resolved), std::move(cached.compact)});
+    set.entries_.push_back(Entry{resolver.get_or_build_compact(*elt, yelt, cfg)});
   }
   return set;
 }
@@ -203,25 +226,16 @@ ResolverCache::Key ResolverCache::make_key(const EventLossTable& elt,
   return key;
 }
 
-ResolverCache::CompactEntry ResolverCache::insert_locked(
-    const Key& key, std::shared_ptr<const ResolvedYelt> resolved,
-    std::shared_ptr<const CompactResolvedYelt> compact) {
-  for (Entry& entry : entries_) {
+std::shared_ptr<const CompactResolvedYelt> ResolverCache::insert_locked(
+    const Key& key, std::shared_ptr<const CompactResolvedYelt> compact) {
+  for (const Entry& entry : entries_) {
     if (entry.key == key) {
-      // Lost an insert race; keep the first build, but donate the compact
-      // form if the survivor lacks one.
-      if (compact && !entry.compact) {
-        entry.compact = std::move(compact);
-        bytes_ += entry.compact->byte_size();
-      }
-      CompactEntry value{entry.resolved, entry.compact};
-      evict_locked();  // the donation may have breached the byte bound
-      return value;
+      return entry.compact;  // lost an insert race; keep the first build
     }
   }
-  entries_.push_back(Entry{key, std::move(resolved), std::move(compact)});
-  bytes_ += entries_.back().bytes();
-  CompactEntry value{entries_.back().resolved, entries_.back().compact};
+  entries_.push_back(Entry{key, std::move(compact)});
+  bytes_ += entries_.back().compact->byte_size();
+  auto value = entries_.back().compact;
   evict_locked();
   return value;
 }
@@ -231,12 +245,12 @@ void ResolverCache::evict_locked() {
   // single oversized resolution is still served from the cache.
   while (entries_.size() > 1 &&
          (entries_.size() > kMaxEntries || bytes_ > kMaxBytes)) {
-    bytes_ -= entries_.front().bytes();
+    bytes_ -= entries_.front().compact->byte_size();
     entries_.erase(entries_.begin());
   }
 }
 
-std::shared_ptr<const ResolvedYelt> ResolverCache::get_or_build(
+std::shared_ptr<const CompactResolvedYelt> ResolverCache::get_or_build_compact(
     const EventLossTable& elt, const YearEventLossTable& yelt, ParallelConfig cfg) {
   const Key key = make_key(elt, yelt);
   {
@@ -245,7 +259,7 @@ std::shared_ptr<const ResolvedYelt> ResolverCache::get_or_build(
       if (entry.key == key) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         resolver_hits().add();
-        return entry.resolved;
+        return entry.compact;
       }
     }
   }
@@ -255,43 +269,12 @@ std::shared_ptr<const ResolvedYelt> ResolverCache::get_or_build(
   // Build outside the lock: a concurrent miss on the same key builds a
   // duplicate (equivalent) resolution rather than serialising the pool.
   obs::Timer build_timer("resolver.build");
-  auto built = std::make_shared<const ResolvedYelt>(ResolvedYelt::build(elt, yelt, cfg));
+  auto built =
+      std::make_shared<const CompactResolvedYelt>(CompactResolvedYelt::build(elt, yelt, cfg));
   resolver_build_seconds().observe(build_timer.stop());
 
   std::lock_guard lock(mutex_);
-  return insert_locked(key, std::move(built), nullptr).resolved;
-}
-
-ResolverCache::CompactEntry ResolverCache::get_or_build_compact(
-    const EventLossTable& elt, const YearEventLossTable& yelt, ParallelConfig cfg) {
-  const Key key = make_key(elt, yelt);
-  std::shared_ptr<const ResolvedYelt> resolved;
-  {
-    std::lock_guard lock(mutex_);
-    for (const Entry& entry : entries_) {
-      if (entry.key == key) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        resolver_hits().add();
-        if (entry.compact) {
-          return {entry.resolved, entry.compact};
-        }
-        resolved = entry.resolved;  // full form cached; compact still to build
-        break;
-      }
-    }
-  }
-  if (!resolved) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    resolver_misses().add();
-    obs::Timer build_timer("resolver.build");
-    resolved = std::make_shared<const ResolvedYelt>(ResolvedYelt::build(elt, yelt, cfg));
-    resolver_build_seconds().observe(build_timer.stop());
-  }
-  auto compact = std::make_shared<const CompactResolvedYelt>(
-      CompactResolvedYelt::build(*resolved, yelt, cfg));
-
-  std::lock_guard lock(mutex_);
-  return insert_locked(key, std::move(resolved), std::move(compact));
+  return insert_locked(key, std::move(built));
 }
 
 std::size_t ResolverCache::size() const {

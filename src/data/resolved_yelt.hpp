@@ -1,18 +1,19 @@
-// ResolvedYelt — the pre-joined event→row resolution of aggregate analysis.
+// Event→row resolution of aggregate analysis: the pre-join that hoists every
+// ELT lookup out of the stage-2 trial kernel.
 //
-// The stage-2 kernel walks every YELT occurrence once per (contract, layer,
-// trial) and needs the matching ELT row. Resolving that mapping inside the
-// kernel — a binary search per occurrence — re-derives the identical answer
-// for every layer of a contract and on every engine run. The paper's own
+// The kernel walks every YELT occurrence once per (contract, layer, trial)
+// and needs the matching ELT row. Resolving that mapping inside the kernel
+// — a binary search per occurrence — re-derives the identical answer for
+// every layer of a contract and on every engine run. The paper's own
 // "scan, don't seek" argument applies: hoist the dependent random accesses
 // out of the hot loop into a one-time streamed pre-join.
 //
-// A ResolvedYelt is a flat uint32 column aligned with yelt.events():
-// rows()[i] is the ELT row index for occurrence i, or kNoLoss when the
-// event causes no loss to the contract. The trial kernel then gathers
-// mean/sampler parameters by direct index — no hashing, no branching
-// binary search — and the resolution is shared across all layers of the
-// contract and cached across runs (ResolverCache).
+// CompactResolvedYelt is the form the engine gathers from: only the hits,
+// CSR-indexed by trial, built straight from the ELT and the YELT event
+// column and shared across a contract's layers and runs (ResolverCache).
+// ResolvedYelt — the full occurrence-aligned row column — is kept as the
+// standalone resolution probe (benchmarks time it) and as the reference
+// the compact build is tested against.
 #pragma once
 
 #include <atomic>
@@ -61,12 +62,11 @@ class ResolvedYelt {
   std::uint64_t hits_ = 0;
 };
 
-/// Hit-compacted resolution — the SoA gather input of the portfolio-batched
-/// engine (core::PortfolioBatchRunner).
+/// Hit-compacted resolution — the SoA gather input of the stage-2 kernel.
 ///
-/// A ResolvedYelt still carries one slot per YELT occurrence, most of which
-/// are kNoLoss for a contract whose ELT covers a fraction of the catalogue:
-/// the per-contract kernel reads 4 bytes and branches for every miss. The
+/// A ResolvedYelt carries one slot per YELT occurrence, most of which are
+/// kNoLoss for a contract whose ELT covers a fraction of the catalogue; a
+/// kernel walking it would read 4 bytes and branch for every miss. The
 /// compact form keeps only the hits, CSR-indexed by trial, as two parallel
 /// uint32 columns:
 ///   seqs()[k] — the occurrence's sequence number within its trial
@@ -81,12 +81,15 @@ class CompactResolvedYelt {
  public:
   CompactResolvedYelt() = default;
 
-  /// Compacts `resolved` (built against `yelt`) into hit columns. Two
-  /// streamed passes (count, fill), parallel over trial slabs; every output
-  /// slot is written independently of scheduling, so the build is
-  /// deterministic.
-  static CompactResolvedYelt build(const ResolvedYelt& resolved,
-                                   const YearEventLossTable& yelt, ParallelConfig cfg = {});
+  /// Resolves `yelt`'s occurrences against `elt` straight into hit columns:
+  /// two streamed passes over the event column (count, fill), parallel over
+  /// trial slabs, each looking events up through elt.row_lookup() when the
+  /// table has one and elt.find() otherwise. No occurrence-aligned column
+  /// is materialised. Every output slot is written independently of
+  /// scheduling, so the build is deterministic, and it equals compacting
+  /// ResolvedYelt::build(elt, yelt) hit for hit.
+  static CompactResolvedYelt build(const EventLossTable& elt, const YearEventLossTable& yelt,
+                                   ParallelConfig cfg = {});
 
   /// CSR index: hits of trial t live in [trial_offsets()[t], trial_offsets()[t+1]).
   std::span<const std::uint64_t> trial_offsets() const noexcept { return trial_offsets_; }
@@ -95,7 +98,7 @@ class CompactResolvedYelt {
   /// ELT rows of the hits, parallel to seqs().
   std::span<const std::uint32_t> rows() const noexcept { return rows_; }
 
-  /// Total hits (== the source resolution's hits()).
+  /// Total hits (== ResolvedYelt::build(elt, yelt).hits()).
   std::uint64_t hits() const noexcept { return seqs_.size(); }
   TrialId trials() const noexcept {
     return trial_offsets_.empty() ? 0 : static_cast<TrialId>(trial_offsets_.size() - 1);
@@ -116,22 +119,19 @@ class CompactResolvedYelt {
 class ResolverCache;
 
 /// Pre-resolved view of many contracts' ELTs against one shared YELT — what
-/// the batched engine builds up front so the trial-chunk pass is pure
-/// gathers. Both the full resolutions and their hit-compacted forms come
-/// from (and stay shared through) a ResolverCache, so a warm batched run
-/// resolves and compacts nothing.
+/// the engine builds up front so the trial-chunk pass is pure gathers. The
+/// compact resolutions come from (and stay shared through) a ResolverCache,
+/// so a warm run resolves nothing.
 class MultiResolution {
  public:
   struct Entry {
-    std::shared_ptr<const ResolvedYelt> resolved;
     std::shared_ptr<const CompactResolvedYelt> compact;
   };
 
   MultiResolution() = default;
 
   /// Resolves every ELT in `elts` against `yelt` through `cache` (nullptr =
-  /// ResolverCache::shared()) and compacts each. Order of entries follows
-  /// `elts`.
+  /// ResolverCache::shared()). Order of entries follows `elts`.
   static MultiResolution build(std::span<const EventLossTable* const> elts,
                                const YearEventLossTable& yelt, ResolverCache* cache,
                                ParallelConfig cfg = {});
@@ -144,13 +144,13 @@ class MultiResolution {
   std::vector<Entry> entries_;
 };
 
-/// Process-wide cache of resolutions keyed by (ELT, YELT) identity.
+/// Process-wide cache of compact resolutions keyed by (ELT, YELT) identity.
 ///
 /// The key couples the tables' data pointers and shapes with a strided
 /// content fingerprint (first/last/sampled event ids of both tables), so a
 /// freed table whose address is reused by a different table does not
 /// produce a false hit. Entries are evicted FIFO past kMaxEntries entries
-/// or kMaxBytes of retained row columns — the byte bound is what matters
+/// or kMaxBytes of retained columns — the byte bound is what matters
 /// for long-lived processes that resolve many distinct large workloads,
 /// since cached resolutions can outlive the tables they were built from.
 class ResolverCache {
@@ -165,26 +165,14 @@ class ResolverCache {
   ResolverCache(const ResolverCache&) = delete;
   ResolverCache& operator=(const ResolverCache&) = delete;
 
-  /// Returns the cached resolution for (elt, yelt), building it on miss.
-  /// Thread-safe; concurrent misses on the same key may build twice but
-  /// return equivalent resolutions.
-  std::shared_ptr<const ResolvedYelt> get_or_build(const EventLossTable& elt,
-                                                   const YearEventLossTable& yelt,
-                                                   ParallelConfig cfg = {});
-
-  /// Full + hit-compacted resolution pair for the batched engine. The
-  /// compact form is derived lazily from the cached full resolution and
-  /// retained with it, so warm batched runs gather without re-compacting.
-  struct CompactEntry {
-    std::shared_ptr<const ResolvedYelt> resolved;
-    std::shared_ptr<const CompactResolvedYelt> compact;
-  };
-  CompactEntry get_or_build_compact(const EventLossTable& elt,
-                                    const YearEventLossTable& yelt,
-                                    ParallelConfig cfg = {});
+  /// Returns the cached compact resolution for (elt, yelt), building it
+  /// (CompactResolvedYelt::build) on miss. Thread-safe; concurrent misses on
+  /// the same key may build twice but return equivalent resolutions.
+  std::shared_ptr<const CompactResolvedYelt> get_or_build_compact(
+      const EventLossTable& elt, const YearEventLossTable& yelt, ParallelConfig cfg = {});
 
   std::size_t size() const;
-  /// Total bytes of retained row columns.
+  /// Total bytes of retained columns.
   std::size_t byte_size() const;
   void clear();
 
@@ -211,18 +199,13 @@ class ResolverCache {
 
   struct Entry {
     Key key;
-    std::shared_ptr<const ResolvedYelt> resolved;
-    std::shared_ptr<const CompactResolvedYelt> compact;  // lazily attached
-
-    std::size_t bytes() const noexcept {
-      return resolved->byte_size() + (compact ? compact->byte_size() : 0);
-    }
+    std::shared_ptr<const CompactResolvedYelt> compact;
   };
 
   /// Inserts under the lock, re-checking for a racing insert; returns the
-  /// surviving entry's value and runs FIFO eviction.
-  CompactEntry insert_locked(const Key& key, std::shared_ptr<const ResolvedYelt> resolved,
-                             std::shared_ptr<const CompactResolvedYelt> compact);
+  /// surviving entry's resolution and runs FIFO eviction.
+  std::shared_ptr<const CompactResolvedYelt> insert_locked(
+      const Key& key, std::shared_ptr<const CompactResolvedYelt> compact);
   /// FIFO-evicts past the entry/byte bounds; caller holds mutex_.
   void evict_locked();
 

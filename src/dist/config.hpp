@@ -99,9 +99,12 @@ struct DistStats {
   std::uint64_t corrupt_frames = 0;   ///< CRC mismatches + torn frames seen
   std::uint64_t worker_errors = 0;    ///< Error frames received
   std::uint64_t duplicates_discarded = 0;  ///< late results for done blocks
-  /// Blocks never folded because the adaptive controller converged first:
-  /// un-issued ones are dropped from the queue, in-flight ones are left to
-  /// land as discarded duplicates. Zero on non-adaptive runs.
+  /// Blocks never folded because the adaptive controller converged first —
+  /// every block past the stopping frontier, whether it was un-issued,
+  /// in flight or had already landed, so the count depends only on where
+  /// the run stopped. Un-issued ones are dropped from the queue, in-flight
+  /// ones are left to land as discarded duplicates. Zero on non-adaptive
+  /// runs.
   std::uint64_t blocks_cancelled = 0;
   std::uint64_t task_bytes_sent = 0;
   std::uint64_t bytes_resent = 0;     ///< task bytes of re-queued sends

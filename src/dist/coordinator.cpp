@@ -534,11 +534,14 @@ class Coordinator {
     }
   }
 
-  /// Convergence reached: blocks past the frontier will never be folded.
-  /// Un-done ones leave the queue as cancelled; in-flight leases are left
-  /// to land as discarded duplicates (or die with shutdown).
+  /// Convergence reached: blocks past the frontier will never be folded,
+  /// so every one of them counts as cancelled — including any that already
+  /// landed, which keeps the count independent of scheduling. Un-done ones
+  /// leave the queue; in-flight leases are left to land as discarded
+  /// duplicates (or die with shutdown).
   void cancel_remaining() {
     for (std::size_t i = frontier_; i < fold_order_.size(); ++i) {
+      ++stats_.blocks_cancelled;
       BlockState& block = blocks_[fold_order_[i]];
       if (block.done) {
         continue;
@@ -546,7 +549,6 @@ class Coordinator {
       block.done = true;
       block.queued = false;
       ++done_;
-      ++stats_.blocks_cancelled;
     }
     frontier_ = fold_order_.size();
   }

@@ -66,8 +66,6 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
     core::EngineConfig engine;
     engine.seed = config.seed;
     engine.secondary_uncertainty = config.secondary_uncertainty;
-    engine.use_resolver = config.use_resolver;
-    engine.batch_contracts = config.batch_contracts && config.use_resolver;
     engine.adaptive = config.adaptive;
 
     std::vector<dist::BlockSpec> specs;
@@ -133,8 +131,6 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
       engine.compute_oep = false;
       engine.keep_contract_ylts = false;
       engine.trial_base = static_cast<TrialId>(split) * per_block;
-      engine.use_resolver = config.use_resolver;
-      engine.batch_contracts = config.batch_contracts && config.use_resolver;
 
       const auto block_result = core::run_aggregate_analysis(portfolio, source, engine);
       const auto losses = block_result.portfolio_ylt.losses();
@@ -177,17 +173,10 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
         engine.compute_oep = false;
         engine.keep_contract_ylts = false;
         engine.trial_base = static_cast<TrialId>(split) * per_block;
-        engine.use_resolver = config.use_resolver;
-        // Each map task carries the whole contract group: with batching on,
-        // its YELT slice is streamed once serving every contract, instead
-        // of once per (contract, layer). Batching is resolver-intrinsic,
-        // so the use_resolver=false ablation keeps the per-contract path.
-        engine.batch_contracts = config.batch_contracts && config.use_resolver;
         // The decoded slice is task-local; the ephemeral source makes the
         // engine resolve through a run-local cache automatically, still
         // sharing the pre-join across the contracts' layers without
         // parking dead keys in the process-wide cache.
-
         const auto block_result = core::run_aggregate_analysis(portfolio, source, engine);
         const auto losses = block_result.portfolio_ylt.losses();
         for (TrialId t = 0; t < source.trials(); ++t) {

@@ -4,13 +4,13 @@
 // The YELT is split into trial-range blocks stored in the DFS; each map
 // task deserialises its block and lowers the whole contract group through
 // the same execution plan onto the same trial kernel the in-memory engine
-// uses (sequential executor — pool-free by contract, portfolio-batched by
-// default so the slice is streamed once for every contract, trial_base =
-// the block's first global trial so secondary-uncertainty streams line
-// up), and emits (trial, portfolio loss). The reduce is a per-trial sum — trivially
-// combiner-friendly, which is why this workload MapReduces well. The
-// output YLT is bit-identical to the in-memory engine's (integration tests
-// enforce this).
+// uses (sequential executor — pool-free by contract, the slice streamed
+// once for every contract, trial_base = the block's first global trial so
+// secondary-uncertainty streams line up), and emits (trial, portfolio
+// loss). The reduce is a per-trial sum — trivially combiner-friendly,
+// which is why this workload MapReduces well. The output YLT is
+// bit-identical to the in-memory engine's (integration tests enforce
+// this).
 #pragma once
 
 #include <cstdint>
@@ -35,16 +35,6 @@ struct AggregateJobConfig {
   bool secondary_uncertainty = true;
   ThreadPool* pool = nullptr;
   std::string dfs_file = "yelt";
-  /// Pre-join each contract's ELT to the map task's YELT slice once and
-  /// share it across the contract's layers (core::EngineConfig::use_resolver).
-  bool use_resolver = true;
-  /// Run each map task portfolio-batched: the whole contract group is
-  /// served by one streamed pass over the task's YELT slice instead of a
-  /// per-contract re-walk (core::EngineConfig::batch_contracts). Outputs
-  /// are bit-identical either way. The batched path is resolver-intrinsic,
-  /// so `use_resolver = false` (the legacy-lookup ablation) forces the
-  /// per-contract path regardless of this flag.
-  bool batch_contracts = true;
   /// When set, the map phase rides the multi-process dist transport
   /// (src/dist/coordinator.hpp): DFS blocks are leased to forked worker
   /// processes with retry/re-queue and straggler re-execution, and the

@@ -18,12 +18,14 @@
 #include "core/adaptive/driver.hpp"
 #include "core/adaptive/stratified.hpp"
 #include "core/aggregate_engine.hpp"
+#include "core/portfolio_batch.hpp"
 #include "data/serialize.hpp"
 #include "data/trial_source.hpp"
 #include "dist/coordinator.hpp"
 #include "finance/contract.hpp"
 #include "mapreduce/aggregate_job.hpp"
 #include "mapreduce/dfs.hpp"
+#include "naive_oracle.hpp"
 #include "scenario/sweep.hpp"
 #include "util/bytes.hpp"
 #include "util/require.hpp"
@@ -303,15 +305,18 @@ TEST(AdaptiveStopping, SourceChunkingCannotMoveTheStoppingTrial) {
 }
 
 TEST(AdaptiveStopping, BatchedAndPerContractPathsAgree) {
-  core::EngineConfig batched = adaptive_engine();
-  batched.batch_contracts = true;
-  core::EngineConfig per_contract = adaptive_engine();
-  per_contract.batch_contracts = false;
-  const auto a = core::run_aggregate_analysis(world().portfolio, world().yelt, batched);
+  // Both entry points stop at the same trial, and the converged prefix is
+  // the naive per-contract oracle's, bit for bit.
+  const auto a = core::run_aggregate_analysis(world().portfolio, world().yelt,
+                                              adaptive_engine());
   const auto b =
-      core::run_aggregate_analysis(world().portfolio, world().yelt, per_contract);
+      core::run_portfolio_batch(world().portfolio, world().yelt, adaptive_engine());
   EXPECT_EQ(a.adaptive.trials_run, b.adaptive.trials_run);
   expect_same_ylt(a.portfolio_ylt, b.portfolio_ylt);
+  const auto per_contract =
+      oracle::naive_oracle(world().portfolio, world().yelt, adaptive_engine());
+  expect_prefix(a.portfolio_ylt, per_contract.portfolio_ylt);
+  expect_prefix(a.portfolio_occurrence_ylt, per_contract.portfolio_occurrence_ylt);
 }
 
 TEST(AdaptiveStopping, MinTrialsIsAHardFloor) {

@@ -77,37 +77,17 @@ TEST(DeviceMetering, ResidencyCapShiftsGatherTrafficToGlobal) {
   EXPECT_GT(b.counters.global_read_bytes, a.counters.global_read_bytes);
 }
 
-TEST(DeviceMetering, SearchPathProbesCostMoreConstTrafficThanResolvedGathers) {
-  // The use_resolver=false reference path binary-searches the resident
-  // table per occurrence (log2(rows) probes); the resolved path reads one
-  // packed row per hit. Same staging either way, so the probe traffic is
-  // the difference.
-  const auto world = make_world(300, 400);
-  EngineConfig resolved;
-  resolved.use_resolver = true;
-  EngineConfig search;
-  search.use_resolver = false;
-  const auto a = run_device(world, resolved);
-  const auto b = run_device(world, search);
-  EXPECT_GT(b.counters.const_read_bytes, a.counters.const_read_bytes);
-}
-
 TEST(DeviceMetering, BatchedBookSharesLaunchesAcrossContracts) {
-  // Per-contract lowering launches per (contract, layer); the batched plan
-  // packs every contract's table into shared residency chunks — with small
-  // tables, the whole book rides one launch. This is the constraint the
-  // executor refactor lifted (the legacy device kernel staged one layer's
-  // ELT at a time).
-  const auto world = make_world(400, 200, /*contracts=*/4);
-  EngineConfig loop;
-  loop.batch_contracts = false;
-  EngineConfig batched;
-  batched.batch_contracts = true;
-  const auto a = run_device(world, loop);
-  const auto b = run_device(world, batched);
-  EXPECT_EQ(a.launches, 4);  // one per (contract, layer)
+  // The plan packs every contract's table into shared residency chunks —
+  // with small tables, the whole book rides one launch whatever its size.
+  const auto one = make_world(400, 200, /*contracts=*/1);
+  const auto book = make_world(400, 200, /*contracts=*/4);
+  const auto a = run_device(one, EngineConfig{});
+  const auto b = run_device(book, EngineConfig{});
+  EXPECT_EQ(a.launches, 1);
   EXPECT_EQ(b.launches, 1);  // 4 x 200-row tables fit one constant segment
-  EXPECT_LT(b.modeled_seconds, a.modeled_seconds);
+  EXPECT_EQ(b.elt_chunks, 1u);
+  EXPECT_GT(b.counters.const_read_bytes, a.counters.const_read_bytes);
 }
 
 TEST(DeviceMetering, ConstantPressureSplitsBatchedPlanIntoMoreLaunches) {
@@ -116,10 +96,8 @@ TEST(DeviceMetering, ConstantPressureSplitsBatchedPlanIntoMoreLaunches) {
   // (more launches). Capping per-source residency packs them together.
   const auto world = make_world(200, 500, /*contracts=*/8);
   EngineConfig full;
-  full.batch_contracts = true;
   full.device_elt_chunk_rows = 0;
   EngineConfig capped;
-  capped.batch_contracts = true;
   capped.device_elt_chunk_rows = 64;
   const auto a = run_device(world, full);
   const auto b = run_device(world, capped);
@@ -152,7 +130,6 @@ TEST(DeviceMetering, TightConstantPackingRespectsUploadAlignment) {
 
   EngineConfig config;
   config.backend = Backend::Sequential;
-  config.batch_contracts = true;
   const auto reference = run_aggregate_analysis(portfolio, yelt, config);
   config.backend = Backend::DeviceSim;
   const auto device = run_aggregate_analysis(portfolio, yelt, config);

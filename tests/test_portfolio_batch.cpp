@@ -1,22 +1,26 @@
 // Portfolio-batched execution — one YELT pass serving every contract.
 //
-// The batched path is a pure loop-nest inversion of the per-contract
-// engine: same per-occurrence terms, same accumulation order per output
-// slot, so every result (portfolio AEP, per-contract YLTs, OEP,
-// reinstatement premium, lookup telemetry) must be bit-identical across
-// backends, grain sizes and secondary-uncertainty settings. These tests
-// are the contract that lets callers flip `batch_contracts` on without
-// re-validating numbers.
+// The engine's one lowering is a loop-nest inversion of the paper's
+// per-contract algorithm: same per-occurrence terms, same accumulation
+// order per output cell. So every result (portfolio AEP, per-contract
+// YLTs, OEP, reinstatement premium, lookup telemetry) must be bit-identical
+// to the naive per-contract oracle (naive_oracle.hpp) across backends,
+// grain sizes, secondary-uncertainty and OEP settings.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
+#include "naive_oracle.hpp"
 
 namespace riskan::core {
 namespace {
+
+using oracle::naive_oracle;
 
 /// Every host backend plus — when this build/host dispatches a wide ISA —
 /// the Simd pair, so the equivalence matrices grow the vectorized rows
@@ -76,47 +80,43 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
   const auto yelt = lens(1'500);
 
   for (const bool secondary : {false, true}) {
-    for (const Backend backend : backends_with_simd()) {
-      for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != Backend::Threaded && backend != Backend::ThreadedSimd &&
-            grain != 0) {
-          continue;  // grain only affects the chunk-partitioned backends
+    for (const bool oep : {false, true}) {
+      EngineConfig config;
+      config.secondary_uncertainty = secondary;
+      config.compute_oep = oep;
+      const auto oracle = naive_oracle(portfolio, yelt, config);
+      for (const Backend backend : backends_with_simd()) {
+        for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
+          if (backend != Backend::Threaded && backend != Backend::ThreadedSimd &&
+              grain != 0) {
+            continue;  // grain only affects the chunk-partitioned backends
+          }
+          config.backend = backend;
+          config.trial_grain = grain;
+          const auto result = run_aggregate_analysis(portfolio, yelt, config);
+          expect_identical(oracle, result,
+                           std::string(to_string(backend)) +
+                               (secondary ? "/secondary" : "/means") +
+                               (oep ? "/oep" : "/no-oep") + "/grain=" +
+                               std::to_string(grain));
+          EXPECT_EQ(oracle.elt_lookups, result.elt_lookups);
+          EXPECT_EQ(oracle.occurrences_processed, result.occurrences_processed);
         }
-        EngineConfig config;
-        config.backend = backend;
-        config.secondary_uncertainty = secondary;
-        config.trial_grain = grain;
-
-        config.batch_contracts = false;
-        const auto per_contract = run_aggregate_analysis(portfolio, yelt, config);
-        config.batch_contracts = true;
-        const auto batched = run_aggregate_analysis(portfolio, yelt, config);
-
-        expect_identical(per_contract, batched,
-                         std::string(to_string(backend)) +
-                             (secondary ? "/secondary" : "/means") + "/grain=" +
-                             std::to_string(grain));
-        EXPECT_EQ(per_contract.elt_lookups, batched.elt_lookups);
-        EXPECT_EQ(per_contract.occurrences_processed, batched.occurrences_processed);
       }
     }
   }
 }
 
 TEST(PortfolioBatch, DeviceSimBatchedMatchesPerContract) {
-  // Since the executor refactor the batched plan runs natively on the
-  // simulated device (no per-contract fallback): one launch sequence
-  // serves every contract, bit-identically, through both entry points.
+  // The batched plan runs natively on the simulated device: one launch
+  // sequence serves every contract, bit-identically to the naive
+  // per-contract oracle, through both entry points.
   const auto portfolio = book(/*contracts=*/4, /*layers=*/2);
   const auto yelt = lens(800);
 
   EngineConfig config;
   config.backend = Backend::DeviceSim;
-  config.batch_contracts = false;
-  const auto per_contract = run_aggregate_analysis(portfolio, yelt, config);
-
-  // Through both entry points: the engine route and the runner route.
-  config.batch_contracts = true;
+  const auto per_contract = naive_oracle(portfolio, yelt, config);
   const auto via_engine = run_aggregate_analysis(portfolio, yelt, config);
   const auto via_runner = run_portfolio_batch(portfolio, yelt, config);
   expect_identical(per_contract, via_engine, "device-sim via engine");
@@ -132,7 +132,6 @@ TEST(PortfolioBatch, DeviceSimBlockDimSweepIsBitIdentical) {
 
   EngineConfig config;
   config.backend = Backend::Sequential;
-  config.batch_contracts = true;
   const auto reference = run_portfolio_batch(portfolio, yelt, config);
 
   config.backend = Backend::DeviceSim;
@@ -148,11 +147,10 @@ TEST(PortfolioBatch, DegenerateSingleContractBatch) {
   const auto portfolio = book(/*contracts=*/1, /*layers=*/2);
   const auto yelt = lens(1'000);
 
+  const auto per_contract = naive_oracle(portfolio, yelt, EngineConfig{});
   for (const Backend backend : backends_with_simd()) {
     EngineConfig config;
     config.backend = backend;
-    config.batch_contracts = false;
-    const auto per_contract = run_aggregate_analysis(portfolio, yelt, config);
     const auto batched = run_portfolio_batch(portfolio, yelt, config);
     expect_identical(per_contract, batched,
                      std::string("1-contract/") + to_string(backend));
@@ -189,8 +187,7 @@ TEST(PortfolioBatch, DisjointEltEventSets) {
     EngineConfig config;
     config.backend = Backend::Threaded;
     config.secondary_uncertainty = secondary;
-    config.batch_contracts = false;
-    const auto per_contract = run_aggregate_analysis(portfolio, yelt, config);
+    const auto per_contract = naive_oracle(portfolio, yelt, config);
     const auto batched = run_portfolio_batch(portfolio, yelt, config);
     expect_identical(per_contract, batched,
                      secondary ? "disjoint/secondary" : "disjoint/means");
@@ -239,19 +236,13 @@ TEST(PortfolioBatch, RejectionHeavySecondaryBitIdenticalAcrossBackends) {
 
   EngineConfig config;
   config.secondary_uncertainty = true;
-  config.backend = Backend::Sequential;
-  config.batch_contracts = false;
-  const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+  const auto reference = naive_oracle(portfolio, yelt, config);
 
   for (const Backend backend : backends_with_simd()) {
     config.backend = backend;
-    for (const bool batched : {false, true}) {
-      config.batch_contracts = batched;
-      const auto result = run_aggregate_analysis(portfolio, yelt, config);
-      expect_identical(reference, result,
-                       std::string("rejection-heavy/") + to_string(backend) +
-                           (batched ? "/batched" : "/per-contract"));
-    }
+    const auto result = run_aggregate_analysis(portfolio, yelt, config);
+    expect_identical(reference, result,
+                     std::string("rejection-heavy/") + to_string(backend));
   }
 }
 
@@ -265,8 +256,7 @@ TEST(PortfolioBatch, TrialBaseAndLeanOutputsMatch) {
   config.compute_oep = false;
   config.keep_contract_ylts = false;
 
-  config.batch_contracts = false;
-  const auto per_contract = run_aggregate_analysis(portfolio, yelt, config);
+  const auto per_contract = naive_oracle(portfolio, yelt, config);
   const auto batched = run_portfolio_batch(portfolio, yelt, config);
 
   ASSERT_TRUE(batched.contract_ylts.empty());
@@ -297,12 +287,11 @@ TEST(PortfolioBatchRunner, GroupsBooksByYeltAndMatchesIndividualRuns) {
   const auto results = runner.run();
   ASSERT_EQ(results.size(), 3u);
 
-  config.batch_contracts = false;
-  expect_identical(run_aggregate_analysis(book_a, shared_lens, config), results[0],
+  expect_identical(naive_oracle(book_a, shared_lens, config), results[0],
                    "book A over shared lens");
-  expect_identical(run_aggregate_analysis(book_b, shared_lens, config), results[1],
+  expect_identical(naive_oracle(book_b, shared_lens, config), results[1],
                    "book B over shared lens");
-  expect_identical(run_aggregate_analysis(book_a, other_lens, config), results[2],
+  expect_identical(naive_oracle(book_a, other_lens, config), results[2],
                    "book A over other lens");
 }
 
@@ -331,6 +320,49 @@ TEST(PortfolioBatchRunner, SharedResolverCacheIsReused) {
 namespace riskan::data {
 namespace {
 
+/// Compacts a full occurrence-aligned resolution into hit columns — the
+/// test-side reference for the direct build.
+struct CompactColumns {
+  std::vector<std::uint64_t> trial_offsets{0};
+  std::vector<std::uint32_t> seqs;
+  std::vector<std::uint32_t> rows;
+};
+
+CompactColumns compact_of(const ResolvedYelt& resolved, const YearEventLossTable& yelt) {
+  CompactColumns out;
+  const auto offsets = yelt.offsets();
+  const auto rows = resolved.rows();
+  for (TrialId t = 0; t < yelt.trials(); ++t) {
+    for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
+      if (rows[i] != ResolvedYelt::kNoLoss) {
+        out.seqs.push_back(static_cast<std::uint32_t>(i - offsets[t]));
+        out.rows.push_back(rows[i]);
+      }
+    }
+    out.trial_offsets.push_back(out.seqs.size());
+  }
+  return out;
+}
+
+void expect_direct_build_matches_compaction(const EventLossTable& elt,
+                                            const YearEventLossTable& yelt,
+                                            const std::string& what) {
+  const auto resolved = ResolvedYelt::build(elt, yelt);
+  const auto expected = compact_of(resolved, yelt);
+  const auto compact = CompactResolvedYelt::build(elt, yelt);
+
+  ASSERT_EQ(compact.trials(), yelt.trials()) << what;
+  EXPECT_EQ(compact.hits(), resolved.hits()) << what;
+  ASSERT_EQ(compact.hits(), expected.seqs.size()) << what;
+  for (TrialId t = 0; t <= yelt.trials(); ++t) {
+    ASSERT_EQ(compact.trial_offsets()[t], expected.trial_offsets[t]) << what << " trial " << t;
+  }
+  for (std::uint64_t k = 0; k < compact.hits(); ++k) {
+    ASSERT_EQ(compact.seqs()[k], expected.seqs[k]) << what << " hit " << k;
+    ASSERT_EQ(compact.rows()[k], expected.rows[k]) << what << " hit " << k;
+  }
+}
+
 TEST(CompactResolvedYelt, MatchesFullResolutionHitForHit) {
   YeltGenConfig yg;
   yg.trials = 400;
@@ -340,33 +372,57 @@ TEST(CompactResolvedYelt, MatchesFullResolutionHitForHit) {
   pg.catalog_events = 300;
   pg.elt_rows = 80;
   const auto portfolio = finance::generate_portfolio(pg);
-  const auto& elt = portfolio.contract(0).elt();
+  expect_direct_build_matches_compaction(portfolio.contract(0).elt(), yelt, "generated");
+}
 
-  const auto resolved = ResolvedYelt::build(elt, yelt);
-  const auto compact = CompactResolvedYelt::build(resolved, yelt);
+TEST(CompactResolvedYelt, DirectBuildMatchesCompactionForDenseAndSparseIds) {
+  // A thin lens (about one event a year) leaves many trials empty, and a
+  // hand-built lens adds leading, trailing and all-miss trials.
+  YeltGenConfig yg;
+  yg.trials = 600;
+  yg.mean_events_per_year = 1.0;
+  yg.seed = 5;
+  const auto thin = generate_yelt(400, yg);
 
-  ASSERT_EQ(compact.trials(), yelt.trials());
-  EXPECT_EQ(compact.hits(), resolved.hits());
-
-  // Walk the full resolution trial by trial; the compact columns must list
-  // exactly the hits, in occurrence order.
-  const auto offsets = yelt.offsets();
-  const auto rows = resolved.rows();
-  std::uint64_t k = 0;
-  for (TrialId t = 0; t < yelt.trials(); ++t) {
-    ASSERT_EQ(compact.trial_offsets()[t], k) << "trial " << t;
-    for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
-      if (rows[i] == ResolvedYelt::kNoLoss) {
-        continue;
-      }
-      ASSERT_LT(k, compact.hits());
-      EXPECT_EQ(compact.seqs()[k], static_cast<std::uint32_t>(i - offsets[t]));
-      EXPECT_EQ(compact.rows()[k], rows[i]);
-      ++k;
-    }
+  // Dense ids: from_rows builds the O(1) row_lookup().
+  std::vector<EltRow> dense_rows;
+  for (EventId e = 0; e < 400; e += 3) {
+    dense_rows.push_back({e, 1e5 + e, 2e4, 1e6});
   }
-  EXPECT_EQ(k, compact.hits());
-  EXPECT_EQ(compact.trial_offsets()[yelt.trials()], k);
+  const auto dense = EventLossTable::from_rows(dense_rows);
+  ASSERT_FALSE(dense.row_lookup().empty());
+
+  // Sparse ids: the id range is far wider than 64 x rows, so there is no
+  // row_lookup() and the build binary-searches with find().
+  std::vector<EltRow> sparse_rows;
+  for (EventId k = 0; k < 40; ++k) {
+    sparse_rows.push_back({k * 100'003, 1e5 + k, 2e4, 1e6});
+  }
+  const auto sparse = EventLossTable::from_rows(sparse_rows);
+  ASSERT_TRUE(sparse.row_lookup().empty());
+
+  YearEventLossTable::Builder builder;
+  builder.begin_trial();  // empty first trial
+  builder.begin_trial();
+  builder.add(0, 1);
+  builder.add(100'003, 2);
+  builder.add(7, 3);  // in neither table
+  builder.add(39 * 100'003, 4);
+  builder.begin_trial();
+  builder.add(5, 5);  // misses both tables: an all-miss trial
+  builder.begin_trial();
+  builder.add(3, 6);
+  builder.add(3, 7);  // repeated event
+  builder.begin_trial();  // empty last trial
+  const auto hand = builder.finish();
+
+  for (const auto* elt : {&dense, &sparse}) {
+    const std::string kind = elt == &dense ? "dense ids" : "sparse ids";
+    expect_direct_build_matches_compaction(*elt, thin, kind + "/thin lens");
+    expect_direct_build_matches_compaction(*elt, hand, kind + "/hand lens");
+  }
+  EXPECT_EQ(CompactResolvedYelt::build(sparse, hand).hits(), 3u);
+  EXPECT_EQ(CompactResolvedYelt::build(dense, hand).hits(), 3u);
 }
 
 TEST(CompactResolvedYelt, ParallelBuildMatchesInlineBuild) {
@@ -378,12 +434,11 @@ TEST(CompactResolvedYelt, ParallelBuildMatchesInlineBuild) {
   pg.catalog_events = 500;
   pg.elt_rows = 120;
   const auto portfolio = finance::generate_portfolio(pg);
-  const auto resolved = ResolvedYelt::build(portfolio.contract(0).elt(), yelt);
+  const auto& elt = portfolio.contract(0).elt();
 
-  const auto tiny_grain =
-      CompactResolvedYelt::build(resolved, yelt, ParallelConfig{nullptr, 16});
+  const auto tiny_grain = CompactResolvedYelt::build(elt, yelt, ParallelConfig{nullptr, 16});
   const auto inline_build = CompactResolvedYelt::build(
-      resolved, yelt, ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()});
+      elt, yelt, ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()});
 
   ASSERT_EQ(tiny_grain.hits(), inline_build.hits());
   for (std::uint64_t k = 0; k < tiny_grain.hits(); ++k) {
@@ -414,15 +469,16 @@ TEST(MultiResolution, OneEntryPerContractThroughTheCache) {
   ASSERT_EQ(set.size(), 3u);
   EXPECT_EQ(cache.miss_count(), 3u);
   for (std::size_t c = 0; c < set.size(); ++c) {
-    EXPECT_EQ(set.entry(c).compact->hits(), set.entry(c).resolved->hits());
+    EXPECT_EQ(set.entry(c).compact->hits(),
+              ResolvedYelt::build(*elts[c], yelt).hits());
   }
 
-  // A second set over the same tables shares the cached full resolutions.
+  // A second set over the same tables shares the cached resolutions.
   const auto again = MultiResolution::build(elts, yelt, &cache);
   EXPECT_EQ(cache.miss_count(), 3u);
   EXPECT_EQ(cache.hit_count(), 3u);
   for (std::size_t c = 0; c < set.size(); ++c) {
-    EXPECT_EQ(again.entry(c).resolved.get(), set.entry(c).resolved.get());
+    EXPECT_EQ(again.entry(c).compact.get(), set.entry(c).compact.get());
   }
 }
 

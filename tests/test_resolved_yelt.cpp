@@ -2,15 +2,17 @@
 //
 // Two layers of guarantee:
 //   1. the resolution itself matches EventLossTable::find slot for slot;
-//   2. the engine produces bit-identical YLTs (portfolio, contract, OEP,
-//      reinstatement) with the resolver on and off, across backends, grain
-//      sizes, and secondary-uncertainty settings — the resolver is a pure
-//      hoist, not a semantic change.
+//   2. the engine, which gathers through the resolver, produces YLTs
+//      (portfolio, contract, OEP, reinstatement) bit-identical to the naive
+//      oracle's per-occurrence find(), across backends, grain sizes, and
+//      secondary-uncertainty settings — the resolver is a pure hoist, not
+//      a semantic change.
 #include <gtest/gtest.h>
 
 #include "core/aggregate_engine.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
+#include "naive_oracle.hpp"
 
 namespace riskan::data {
 namespace {
@@ -91,8 +93,8 @@ TEST(ResolverCache, SecondLookupHitsAndSharesTheResolution) {
   const auto yelt = small_yelt();
   ResolverCache cache;
 
-  const auto first = cache.get_or_build(elt, yelt);
-  const auto second = cache.get_or_build(elt, yelt);
+  const auto first = cache.get_or_build_compact(elt, yelt);
+  const auto second = cache.get_or_build_compact(elt, yelt);
   EXPECT_EQ(first.get(), second.get());  // same shared resolution
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.miss_count(), 1u);
@@ -105,8 +107,8 @@ TEST(ResolverCache, DistinctTablesGetDistinctEntries) {
   const auto yelt = small_yelt();
   ResolverCache cache;
 
-  const auto a = cache.get_or_build(elt_a, yelt);
-  const auto b = cache.get_or_build(elt_b, yelt);
+  const auto a = cache.get_or_build_compact(elt_a, yelt);
+  const auto b = cache.get_or_build_compact(elt_b, yelt);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(a->hits(), 4u);
@@ -121,7 +123,7 @@ TEST(ResolverCache, EvictsFifoPastCapacity) {
   for (std::size_t i = 0; i < ResolverCache::kMaxEntries + 8; ++i) {
     elts.push_back(EventLossTable::from_rows(
         {{static_cast<EventId>(i + 1), 1.0, 0.0, 2.0}}));
-    cache.get_or_build(elts.back(), yelt);
+    cache.get_or_build_compact(elts.back(), yelt);
   }
   EXPECT_EQ(cache.size(), ResolverCache::kMaxEntries);
 }
@@ -177,27 +179,22 @@ TEST(ResolverEquivalence, BitIdenticalAcrossBackendsGrainsAndSecondary) {
   const auto w = equivalence_workload();
 
   for (const bool secondary : {false, true}) {
+    EngineConfig config;
+    config.secondary_uncertainty = secondary;
+    const auto naive = oracle::naive_oracle(w.portfolio, w.yelt, config);
     for (const Backend backend : kHostBackends) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
         if (backend == Backend::Sequential && grain != 0) {
           continue;  // grain only affects the threaded backend
         }
-        EngineConfig config;
         config.backend = backend;
-        config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
-
-        config.use_resolver = false;
-        const auto naive = run_aggregate_analysis(w.portfolio, w.yelt, config);
-        config.use_resolver = true;
         const auto resolved = run_aggregate_analysis(w.portfolio, w.yelt, config);
 
         expect_identical(naive, resolved,
                          std::string(to_string(backend)) +
                              (secondary ? "/secondary" : "/means") + "/grain=" +
                              std::to_string(grain));
-        // Host backends share the found-lookup telemetry semantics (the
-        // device backend counts nonzero scratch entries instead).
         EXPECT_EQ(naive.elt_lookups, resolved.elt_lookups);
       }
     }
@@ -208,16 +205,13 @@ TEST(ResolverEquivalence, DeviceSimMatchesNaiveSequential) {
   const auto w = equivalence_workload();
 
   EngineConfig config;
-  config.backend = Backend::Sequential;
-  config.use_resolver = false;
-  const auto naive = run_aggregate_analysis(w.portfolio, w.yelt, config);
+  const auto naive = oracle::naive_oracle(w.portfolio, w.yelt, config);
 
   config.backend = Backend::DeviceSim;
-  config.use_resolver = true;
   config.device_elt_chunk_rows = 64;  // cap constant-memory residency per table
   const auto device = run_aggregate_analysis(w.portfolio, w.yelt, config);
 
-  expect_identical(naive, device, "device-sim resolver vs naive sequential");
+  expect_identical(naive, device, "device-sim resolver vs naive oracle");
 }
 
 TEST(ResolverEquivalence, SharedCacheReusedAcrossRuns) {

@@ -1,9 +1,9 @@
 // SIMD backend — dispatch, validation and the bit-identity contract.
 //
 // The vectorized kernel is pure scheduling: Backend::Simd and
-// Backend::ThreadedSimd must reproduce Backend::Sequential to the bit
-// across the whole feature matrix (secondary sampling, OEP, batched and
-// per-contract entry points, grain sizes, lane tails). Hosts or builds
+// Backend::ThreadedSimd must reproduce the naive oracle (and so
+// Backend::Sequential) to the bit across the whole feature matrix
+// (secondary sampling, OEP, grain sizes, lane tails). Hosts or builds
 // without a wide ISA reject the backends up front via
 // validate_engine_config — never silently run something else — which is
 // also what these tests rely on to skip the identity matrix gracefully
@@ -22,6 +22,7 @@
 #include "data/elt.hpp"
 #include "finance/contract.hpp"
 #include "finance/terms.hpp"
+#include "naive_oracle.hpp"
 #include "util/require.hpp"
 
 namespace riskan::core {
@@ -348,17 +349,16 @@ TEST(SimdBackend, BitIdenticalToSequentialAcrossFeatureMatrix) {
   const auto yelt = simd_lens(1'500);
 
   for (const bool secondary : {false, true}) {
-    for (const bool batched : {false, true}) {
+    for (const bool oep : {false, true}) {
       EngineConfig config;
-      config.backend = Backend::Sequential;
       config.secondary_uncertainty = secondary;
-      config.batch_contracts = batched;
-      const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+      config.compute_oep = oep;
+      const auto reference = oracle::naive_oracle(portfolio, yelt, config);
 
       config.backend = Backend::Simd;
       const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-      const std::string what = std::string(secondary ? "secondary" : "means") +
-                               (batched ? "/batched" : "/per-contract");
+      const std::string what =
+          std::string(secondary ? "secondary" : "means") + (oep ? "/oep" : "/no-oep");
       expect_identical(reference, simd, "simd/" + what);
       EXPECT_EQ(reference.elt_lookups, simd.elt_lookups) << what;
       EXPECT_EQ(reference.occurrences_processed, simd.occurrences_processed) << what;
@@ -392,9 +392,7 @@ TEST(SimdBackend, LaneTailsOnHeavyAndOddHitCounts) {
     for (const bool secondary : {false, true}) {
       EngineConfig config;
       config.secondary_uncertainty = secondary;
-      config.batch_contracts = true;
-      config.backend = Backend::Sequential;
-      const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+      const auto reference = oracle::naive_oracle(portfolio, yelt, config);
       config.backend = Backend::Simd;
       const auto simd = run_aggregate_analysis(portfolio, yelt, config);
       expect_identical(reference, simd,
@@ -413,9 +411,7 @@ TEST(SimdBackend, EmptyAndDegenerateTrials) {
   const auto yelt = simd_lens(400, 800, /*seed=*/3, /*events_per_year=*/0.3);
 
   EngineConfig config;
-  config.batch_contracts = true;
-  config.backend = Backend::Sequential;
-  const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+  const auto reference = oracle::naive_oracle(portfolio, yelt, config);
   config.backend = Backend::Simd;
   const auto simd = run_aggregate_analysis(portfolio, yelt, config);
   expect_identical(reference, simd, "sparse lens");

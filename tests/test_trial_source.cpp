@@ -1,6 +1,7 @@
-// The TrialSource data plane: streamed-vs-in-memory bit-identical
-// equivalence across backends × batching × secondary × scenario sweeps,
-// the prefetch pipeline, chunk checksums, and the slice encoder.
+// The TrialSource data plane: streamed-vs-in-memory-vs-oracle bit-identical
+// equivalence across backends × streamed entry points × secondary ×
+// scenario sweeps, the prefetch pipeline, chunk checksums, and the slice
+// encoder.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,6 +17,7 @@
 #include "data/chunked_file.hpp"
 #include "data/serialize.hpp"
 #include "data/trial_source.hpp"
+#include "naive_oracle.hpp"
 #include "scenario/sweep.hpp"
 #include "util/bytes.hpp"
 #include "util/io_error.hpp"
@@ -361,6 +363,9 @@ TEST(EncodeYeltSlice, ByteIdenticalToRebuiltBlock) {
 class StreamedEquivalence
     : public ::testing::TestWithParam<std::tuple<Backend, bool, bool>> {};
 
+// Parameters: backend; whether the streamed run enters through
+// run_portfolio_batch over a ChunkedFileSource (true) or through
+// run_aggregate_streaming (false); secondary sampling.
 TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
   const auto [backend, batch, secondary] = GetParam();
   if ((backend == Backend::Simd || backend == Backend::ThreadedSimd) &&
@@ -374,17 +379,22 @@ TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
 
   EngineConfig config;
   config.backend = backend;
-  config.batch_contracts = batch;
   config.secondary_uncertainty = secondary;
   config.compute_oep = true;
   config.keep_contract_ylts = true;
 
   const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-  const auto streamed = core::run_aggregate_streaming(w.portfolio, path, config);
-  expect_equal_results(reference, streamed);
-  EXPECT_EQ(streamed.blocks, 7u);  // ceil(777 / 128)
-  EXPECT_GT(streamed.bytes_read, 0u);
-  EXPECT_LT(streamed.peak_block_bytes, streamed.bytes_read);
+  expect_equal_results(oracle::naive_oracle(w.portfolio, w.yelt, config), reference);
+  if (batch) {
+    data::ChunkedFileSource source(path);
+    expect_equal_results(reference, core::run_portfolio_batch(w.portfolio, source, config));
+  } else {
+    const auto streamed = core::run_aggregate_streaming(w.portfolio, path, config);
+    expect_equal_results(reference, streamed);
+    EXPECT_EQ(streamed.blocks, 7u);  // ceil(777 / 128)
+    EXPECT_GT(streamed.bytes_read, 0u);
+    EXPECT_LT(streamed.peak_block_bytes, streamed.bytes_read);
+  }
   remove_file(path);
 }
 
@@ -411,7 +421,7 @@ TEST(StreamedEquivalence, TrialBaseOffsetsCompose) {
   EngineConfig config;
   config.backend = Backend::Sequential;
   config.trial_base = 5'000;
-  const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
+  const auto reference = oracle::naive_oracle(w.portfolio, w.yelt, config);
   const auto streamed = core::run_aggregate_streaming(w.portfolio, path, config);
   expect_equal_results(reference, streamed);
   remove_file(path);

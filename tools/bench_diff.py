@@ -12,8 +12,11 @@ drift is visible.
 Ratios are informational by default (CI runs the benches in quick mode, so
 absolute times differ from the committed full-size records; the *ratio*
 keys are the comparable ones). With --fail-above R, exit 1 if any numeric
-key whose name ends in "ratio" grew by more than the factor R — that turns
-the tool into a regression gate on the scale-free metrics.
+key whose name ends in "ratio" grew by more than the factor R, or if a
+"ratio" key of the old record is missing from the new one — that turns the
+tool into a regression gate on the scale-free metrics that a bench cannot
+pass by no longer emitting one. Retiring a ratio key means removing it
+from the committed record in the same change.
 
 Usage: python3 tools/bench_diff.py OLD.json NEW.json [--fail-above R]
 """
@@ -48,7 +51,8 @@ def main() -> int:
         type=float,
         default=None,
         metavar="R",
-        help="exit 1 if any *ratio key grew by more than this factor",
+        help="exit 1 if any *ratio key grew by more than this factor or "
+        "is missing from the new record",
     )
     args = parser.parse_args()
 
@@ -73,19 +77,23 @@ def main() -> int:
         elif a != b:
             print(f"  {key:<{width}}  {a!r}  ->  {b!r}   (changed)")
 
+    missing = []
     for key in old:
         if key not in new:
             print(f"  {key}: only in old record")
+            if args.fail_above is not None and key.endswith("ratio"):
+                missing.append(key)
     for key in new:
         if key not in old:
             print(f"  {key}: only in new record")
 
-    if regressions:
-        for key, ratio in regressions:
-            print(f"bench_diff: REGRESSION {key} grew x{ratio:.3f} "
-                  f"(> {args.fail_above})", file=sys.stderr)
-        return 1
-    return 0
+    for key, ratio in regressions:
+        print(f"bench_diff: REGRESSION {key} grew x{ratio:.3f} "
+              f"(> {args.fail_above})", file=sys.stderr)
+    for key in missing:
+        print(f"bench_diff: MISSING {key} is gated in the old record but absent "
+              f"from the new one", file=sys.stderr)
+    return 1 if regressions or missing else 0
 
 
 if __name__ == "__main__":
