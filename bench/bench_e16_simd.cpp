@@ -3,10 +3,12 @@
 // The batched engine's hot loop is per-occurrence arithmetic over gathered
 // ELT means: resolve ground-up, apply loss_scale, run the LayerTerms
 // occurrence algebra, fold the annual sum. All of it is data-parallel
-// across a trial's hit list, so Backend::Simd lifts it onto 4-wide (AVX2)
-// or 2-wide (NEON) Money vectors with runtime CPU dispatch, keeping the
-// lane fold in occurrence order so results stay bit-identical to
-// Backend::Sequential.
+// across a trial's hit list, so the vector kernel lifts it onto 4-wide
+// (AVX2) or 2-wide (NEON) Money vectors with runtime CPU dispatch, keeping
+// the lane fold in occurrence order so results stay bit-identical to the
+// scalar kernel. The Sequential and Threaded executors run the vector
+// kernel by default; the scalar baseline is the same executor under
+// RISKAN_SIMD=off.
 //
 // The workload is chosen to put weight where the vector kernel works: a
 // batched 16-contract book with dense hit lists (ELT covering ~40% of the
@@ -18,8 +20,9 @@
 // measuring anything about the kernel. Full-roll-up and secondary-on
 // rows are reported informationally right below it.
 //
-// Bit-identity across Sequential / Simd / ThreadedSimd is verified before
-// any timing, across secondary {off, on} × OEP {off, on}.
+// Bit-identity of Sequential and Threaded on the vector kernel against
+// Sequential on the scalar kernel is verified before any timing, across
+// secondary {off, on} × OEP {off, on}.
 //
 // Acceptance bar: simd <= 0.7x scalar Sequential wall-clock on a host
 // that dispatches a wide ISA. Hosts or builds without one skip with a
@@ -33,6 +36,7 @@
 #include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
 #include "obs/obs.hpp"
+#include "tests/kernel_modes.hpp"
 
 using namespace riskan;
 
@@ -95,8 +99,8 @@ int main() {
     // Hardware-aware skip: the gate only binds where a wide ISA runs.
     std::cout << "SKIP: no wide ISA dispatched on this build/host ("
               << dispatch.reason << ")\n"
-              << "Build with -DRISKAN_ENABLE_SIMD=ON on an AVX2/NEON host to "
-                 "run the comparison.\n";
+              << "Run on an AVX2/NEON host, with RISKAN_ENABLE_SIMD on (the "
+                 "default) and RISKAN_SIMD unset, to run the comparison.\n";
     json.set("skipped", std::string(dispatch.reason));
     const std::string json_path = bench::artifact_path("BENCH_e16.json");
     json.write(json_path);
@@ -125,21 +129,23 @@ int main() {
       config.secondary_uncertainty = secondary;
       config.compute_oep = oep;
       config.backend = core::Backend::Sequential;
-      const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-      config.backend = core::Backend::Simd;
+      const auto reference = [&] {
+        const test_support::KernelScope scalar(test_support::KernelMode::ScalarOff);
+        return core::run_aggregate_analysis(w.portfolio, w.yelt, config);
+      }();
       const auto simd = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-      config.backend = core::Backend::ThreadedSimd;
+      config.backend = core::Backend::Threaded;
       const auto threaded = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
       if (!identical(reference, simd) || !identical(reference, threaded)) {
         std::cerr << "SIMD MISMATCH (secondary " << (secondary ? "on" : "off")
                   << ", oep " << (oep ? "on" : "off")
-                  << ") — outputs are not bit-identical to Sequential\n";
+                  << ") — outputs are not bit-identical to the scalar kernel\n";
         return 1;
       }
     }
   }
-  std::cout << "bit-identity verified: Sequential == Simd == ThreadedSimd "
-               "(secondary off/on x OEP off/on)\n\n";
+  std::cout << "bit-identity verified: scalar Sequential == vector Sequential == "
+               "vector Threaded (secondary off/on x OEP off/on)\n\n";
 
   ReportTable table({"configuration", "sequential", "simd", "simd/sequential"});
 
@@ -160,10 +166,12 @@ int main() {
     config.secondary_uncertainty = row.secondary;
     config.compute_oep = row.oep;
     config.backend = core::Backend::Sequential;
-    const double seq_s = best_seconds(reps, [&] {
-      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    });
-    config.backend = core::Backend::Simd;
+    const double seq_s = [&] {
+      const test_support::KernelScope scalar(test_support::KernelMode::ScalarOff);
+      return best_seconds(reps, [&] {
+        core::run_aggregate_analysis(w.portfolio, w.yelt, config);
+      });
+    }();
     const double simd_s = best_seconds(reps, [&] {
       core::run_aggregate_analysis(w.portfolio, w.yelt, config);
     });
@@ -182,21 +190,23 @@ int main() {
     }
   }
 
-  // Informational: the composed backend (vector kernel on the threaded
-  // trial partition) vs plain Threaded, same chunk grain and regime as
-  // the headline.
+  // Informational: the vector kernel on the threaded trial partition vs
+  // the scalar kernel on the same partition, same chunk grain and regime
+  // as the headline.
   config.secondary_uncertainty = false;
   config.compute_oep = false;
   config.backend = core::Backend::Threaded;
-  const double thr_s = best_seconds(reps, [&] {
-    core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-  });
-  config.backend = core::Backend::ThreadedSimd;
+  const double thr_s = [&] {
+    const test_support::KernelScope scalar(test_support::KernelMode::ScalarOff);
+    return best_seconds(reps, [&] {
+      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
+    });
+  }();
   const double thr_simd_s = best_seconds(reps, [&] {
     core::run_aggregate_analysis(w.portfolio, w.yelt, config);
   });
   const double thr_ratio = thr_simd_s / thr_s;
-  table.add_row({"threaded-simd vs threaded", format_seconds(thr_s),
+  table.add_row({"threaded (vector vs scalar)", format_seconds(thr_s),
                  format_seconds(thr_simd_s), format_fixed(thr_ratio, 2) + "x"});
   json.set("threaded_seconds", thr_s);
   json.set("threaded_simd_seconds", thr_simd_s);
@@ -208,7 +218,7 @@ int main() {
             << format_fixed(headline_ratio, 2) << "x "
             << (headline_ratio <= 0.7 ? "(meets the <=0.7x bar)"
                                       : "(ABOVE the <=0.7x bar)")
-            << "; all outputs bit-identical across backends\n";
+            << "; all outputs bit-identical across kernels and backends\n";
 
   json.set("trials", static_cast<std::uint64_t>(trials));
   const std::string json_path = bench::artifact_path("BENCH_e16.json");

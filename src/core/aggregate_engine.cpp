@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <string>
 
 #include "core/exec.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/secondary.hpp"
-#include "core/simd.hpp"
 #include "data/trial_source.hpp"
 #include "obs/obs.hpp"
 #include "util/require.hpp"
@@ -20,8 +18,6 @@ const char* to_string(Backend backend) noexcept {
     case Backend::Sequential: return "sequential";
     case Backend::Threaded: return "threaded";
     case Backend::DeviceSim: return "device-sim";
-    case Backend::Simd: return "simd";
-    case Backend::ThreadedSimd: return "threaded-simd";
   }
   return "unknown";
 }
@@ -55,16 +51,6 @@ void validate_engine_config(const EngineConfig& config) {
                    "DeviceSim needs a constant-memory segment");
     RISKAN_REQUIRE(config.device_spec.shared_mem_per_block > 0,
                    "DeviceSim needs a shared-memory arena");
-  }
-  if (config.backend == Backend::Simd || config.backend == Backend::ThreadedSimd) {
-    // Reject up front rather than silently running the scalar kernel
-    // mid-run: the caller asked for wide execution and should learn at
-    // config time that this build/host/override cannot provide it.
-    const exec::SimdDispatch dispatch = exec::simd_dispatch();
-    RISKAN_REQUIRE(dispatch.width > 0,
-                   std::string("Simd backend unavailable: ") + dispatch.reason +
-                       " (build with -DRISKAN_ENABLE_SIMD=ON on an AVX2/NEON host; "
-                       "check RISKAN_SIMD)");
   }
 }
 

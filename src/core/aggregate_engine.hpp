@@ -31,7 +31,10 @@
 //                simulated device blocks with slot columns staged to
 //                shared memory and ELT tables resident in constant memory,
 //                residency chosen by the plan.
-//   Simd / ThreadedSimd — the vectorized kernel (src/core/batch_simd.hpp).
+// Threading and ISA are independent: Sequential and Threaded both run the
+// vectorized kernel (src/core/batch_simd.hpp) on the runtime-dispatched
+// ISA (core/simd.hpp) and fall back to the scalar kernel where none is
+// available or RISKAN_SIMD=off.
 // Outputs are bit-identical across backends and scheduling, and equal to
 // a naive per-contract oracle that shares no code with the kernel (tests
 // enforce).
@@ -62,31 +65,17 @@ enum class Backend {
   Sequential,
   Threaded,
   DeviceSim,
-  /// Vectorized trial kernel (AVX2/NEON, runtime-dispatched) on the
-  /// caller's thread — pool-free like Sequential. Requires a build with
-  /// RISKAN_ENABLE_SIMD and a supporting host (validate_engine_config
-  /// rejects it otherwise; RISKAN_SIMD=off forces rejection).
-  Simd,
-  /// The vectorized kernel under the Threaded trial-chunk partition
-  /// (trial_grain applies unchanged).
-  ThreadedSimd,
 };
 
 const char* to_string(Backend backend) noexcept;
 
-/// Every always-available backend, in to_string order — the shared
-/// iteration helper for equivalence-matrix tests and benches (no per-file
-/// backend lists). The Simd backends are excluded because scalar-only
-/// builds reject them; matrices add kSimdBackends rows behind
-/// exec::simd_available().
+/// Every backend, in to_string order — the shared iteration helper for
+/// equivalence-matrix tests and benches (no per-file backend lists).
 inline constexpr Backend kAllBackends[] = {Backend::Sequential, Backend::Threaded,
                                            Backend::DeviceSim};
 /// The host backends (everything but the simulated device), for matrices
 /// that sweep `trial_grain` or other host-only knobs.
 inline constexpr Backend kHostBackends[] = {Backend::Sequential, Backend::Threaded};
-/// The vectorized backends, usable only when exec::simd_available()
-/// (core/simd.hpp) — SIMD-gated matrix rows iterate these.
-inline constexpr Backend kSimdBackends[] = {Backend::Simd, Backend::ThreadedSimd};
 
 /// Backends bound to the caller's thread (never the pool): resolution
 /// builds and block decodes under them must run inline, both for the
@@ -94,7 +83,7 @@ inline constexpr Backend kSimdBackends[] = {Backend::Simd, Backend::ThreadedSimd
 /// workers, where submitting and blocking can deadlock) and for dist
 /// workers, which are forked processes without a pool.
 constexpr bool pool_free(Backend backend) noexcept {
-  return backend == Backend::Sequential || backend == Backend::Simd;
+  return backend == Backend::Sequential;
 }
 
 /// Per-run telemetry of the DeviceSim executor, for the E2/E4 reports:

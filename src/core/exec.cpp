@@ -120,61 +120,56 @@ void plan_device_chunks(ExecutionPlan& plan, const EngineConfig& config) {
   close();
 }
 
-class SequentialExecutor final : public Executor {
+/// Sequential and Threaded: the same per-range body, inline on the
+/// caller's thread or over parallel_for trial chunks with per-chunk
+/// scratch. The body is the dispatched vector kernel when the host has
+/// one — lane utilization and the dispatched width are published as
+/// exec.simd.* — and the scalar kernel otherwise.
+class HostExecutor final : public Executor {
  public:
-  void execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs metrics("sequential");
-    obs::Timer timer("exec.sequential");
-    std::vector<Money> scratch(plan.max_group_size);
-    batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
-                          plan.trial_base, 0, plan.trials, scratch);
-    metrics.executions.add();
-    metrics.seconds.observe(timer.stop());
-  }
-};
-
-class ThreadedExecutor final : public Executor {
- public:
-  ThreadedExecutor(ThreadPool* pool, std::size_t grain) : pool_(pool), grain_(grain) {}
+  explicit HostExecutor(const EngineConfig& config)
+      : pool_(config.pool),
+        grain_(config.trial_grain),
+        threaded_(config.backend == Backend::Threaded),
+        dispatch_(simd_dispatch()) {}
 
   void execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs metrics("threaded");
-    obs::Timer timer("exec.threaded");
-    parallel_for(
-        0, plan.trials,
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<Money> scratch(plan.max_group_size);
-          batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                                plan.secondary, plan.trial_base, static_cast<TrialId>(lo),
-                                static_cast<TrialId>(hi), scratch);
-        },
-        ParallelConfig{pool_, grain_});
+    static const ExecObs sequential_metrics("sequential");
+    static const ExecObs threaded_metrics("threaded");
+    const ExecObs& metrics = threaded_ ? threaded_metrics : sequential_metrics;
+    obs::Timer timer(threaded_ ? "exec.threaded" : "exec.sequential");
+
+    std::mutex stats_mutex;
+    batch::SimdStats stats;
+    const auto run_range = [&](std::size_t lo, std::size_t hi) {
+      std::vector<Money> scratch(plan.max_group_size);
+      if (dispatch_.kernel == nullptr) {
+        batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
+                              plan.secondary, plan.trial_base, static_cast<TrialId>(lo),
+                              static_cast<TrialId>(hi), scratch);
+        return;
+      }
+      batch::SimdStats range_stats;
+      dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
+                       plan.trial_base, static_cast<TrialId>(lo), static_cast<TrialId>(hi),
+                       scratch, range_stats);
+      const std::lock_guard lock(stats_mutex);
+      stats += range_stats;
+    };
+    if (threaded_) {
+      parallel_for(0, plan.trials, run_range, ParallelConfig{pool_, grain_});
+    } else {
+      run_range(0, plan.trials);
+    }
+    if (dispatch_.kernel != nullptr) {
+      publish(stats);
+    }
     metrics.executions.add();
     metrics.seconds.observe(timer.stop());
   }
 
  private:
-  ThreadPool* pool_;
-  std::size_t grain_;
-};
-
-/// The vectorized trial kernel on the runtime-dispatched ISA
-/// (core/batch_simd.hpp). Backend::Simd runs the whole range inline on the
-/// caller's thread — pool-free, so it can substitute for Sequential
-/// anywhere (dist workers use it); Backend::ThreadedSimd reuses the
-/// Threaded trial-chunk partition with a per-chunk scratch set. Lane
-/// utilization and the dispatched width are published as exec.simd.*.
-class SimdExecutor final : public Executor {
- public:
-  SimdExecutor(const EngineConfig& config, bool threaded)
-      : pool_(config.pool),
-        grain_(config.trial_grain),
-        threaded_(threaded),
-        dispatch_(simd_dispatch()) {}
-
-  void execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs simd_metrics("simd");
-    static const ExecObs threaded_metrics("threaded-simd");
+  void publish(const batch::SimdStats& stats) const {
     static const obs::Gauge width_gauge =
         obs::MetricsRegistry::global().gauge("exec.simd.width");
     static const obs::Counter vector_occ =
@@ -187,44 +182,14 @@ class SimdExecutor final : public Executor {
         obs::MetricsRegistry::global().counter("exec.simd.sampler.fast");
     static const obs::Counter sampler_tail =
         obs::MetricsRegistry::global().counter("exec.simd.sampler.tail");
-    // validate_engine_config rejected unavailable dispatches at config
-    // time; this guards executors constructed around it.
-    RISKAN_REQUIRE(dispatch_.kernel != nullptr,
-                   "Simd executor without a usable vector ISA");
-    const ExecObs& metrics = threaded_ ? threaded_metrics : simd_metrics;
-    obs::Timer timer(threaded_ ? "exec.threaded-simd" : "exec.simd");
     width_gauge.set(dispatch_.width);
-
-    batch::SimdStats stats;
-    if (!threaded_) {
-      std::vector<Money> annual_scratch(plan.max_group_size);
-      dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
-                       plan.trial_base, 0, plan.trials, annual_scratch, stats);
-    } else {
-      std::mutex stats_mutex;
-      parallel_for(
-          0, plan.trials,
-          [&](std::size_t lo, std::size_t hi) {
-            std::vector<Money> annual_scratch(plan.max_group_size);
-            batch::SimdStats chunk_stats;
-            dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                             plan.secondary, plan.trial_base, static_cast<TrialId>(lo),
-                             static_cast<TrialId>(hi), annual_scratch, chunk_stats);
-            const std::lock_guard lock(stats_mutex);
-            stats += chunk_stats;
-          },
-          ParallelConfig{pool_, grain_});
-    }
     vector_occ.add(static_cast<double>(stats.vector_occurrences));
     tail_occ.add(static_cast<double>(stats.tail_occurrences));
     scalar_occ.add(static_cast<double>(stats.scalar_occurrences));
     sampler_fast.add(static_cast<double>(stats.sampler_fast));
     sampler_tail.add(static_cast<double>(stats.sampler_tail));
-    metrics.executions.add();
-    metrics.seconds.observe(timer.stop());
   }
 
- private:
   ThreadPool* pool_;
   std::size_t grain_;
   bool threaded_;
@@ -523,15 +488,10 @@ void ExecutionPlan::rebind(std::span<const batch::Slot> new_slots,
 std::unique_ptr<Executor> make_executor(const EngineConfig& config) {
   switch (config.backend) {
     case Backend::Sequential:
-      return std::make_unique<SequentialExecutor>();
     case Backend::Threaded:
-      return std::make_unique<ThreadedExecutor>(config.pool, config.trial_grain);
+      return std::make_unique<HostExecutor>(config);
     case Backend::DeviceSim:
       return std::make_unique<DeviceSimExecutor>(config);
-    case Backend::Simd:
-      return std::make_unique<SimdExecutor>(config, /*threaded=*/false);
-    case Backend::ThreadedSimd:
-      return std::make_unique<SimdExecutor>(config, /*threaded=*/true);
   }
   RISKAN_REQUIRE(false, "unknown backend");
   return nullptr;

@@ -15,16 +15,15 @@
 //       backend-independent except for that residency planning.
 //
 //   Executor — where the plan runs:
-//       SequentialExecutor — the whole range inline on the caller's
-//           thread; never touches a pool (MapReduce map tasks run from
-//           pool workers and rely on this).
-//       ThreadedExecutor — parallel_for over trial chunks
-//           (EngineConfig::trial_grain is the chunk knob).
-//       SimdExecutor — the vectorized trial kernel (core/batch_simd.hpp)
-//           on the runtime-dispatched ISA (core/simd.hpp); Backend::Simd
-//           runs the whole range inline (pool-free, like Sequential),
-//           Backend::ThreadedSimd composes the same kernel with the
-//           Threaded trial-chunk partition.
+//       HostExecutor — serves Sequential and Threaded, which differ only
+//           in scheduling: Sequential runs the whole range inline on the
+//           caller's thread and never touches a pool (MapReduce map tasks
+//           run from pool workers and rely on this); Threaded runs
+//           parallel_for over trial chunks (EngineConfig::trial_grain is
+//           the chunk knob). Either way each range runs the vectorized
+//           kernel (core/batch_simd.hpp) on the runtime-dispatched ISA
+//           (core/simd.hpp), or the scalar batch::process_trials when no
+//           wide ISA is available or RISKAN_SIMD=off.
 //       DeviceSimExecutor — one kernel launch per residency chunk on the
 //           simulated many-core device (src/parallel/device.hpp): grid of
 //           device_block_dim-trial blocks, each block staging its slot

@@ -6,8 +6,9 @@
 // (run_aggregate_analysis, the multi-book runner, the scenario sweep,
 // MapReduce map tasks, dist workers, the pricer's run_layer) lowers to a
 // list of Slots, is shaped into an exec::ExecutionPlan, and is dispatched
-// onto this kernel by an exec::Executor (Sequential / Threaded / DeviceSim
-// / Simd) — see src/core/exec.hpp for the plan/executor layer.
+// onto this kernel (or its vectorized twin, core/batch_simd.hpp) by an
+// exec::Executor (Sequential / Threaded / DeviceSim) — see
+// src/core/exec.hpp for the plan/executor layer.
 //
 // A Slot is one consumer of the streamed pass — a (contract, layer) — and
 // gathers through its contract's hit-compacted CSR columns

@@ -1,20 +1,19 @@
 // Runtime SIMD dispatch for the vectorized trial kernel.
 //
-// The scalar build is the portable default: the wide kernels
-// (src/core/batch_simd*.cpp) are compiled only under the CMake option
-// RISKAN_ENABLE_SIMD, which defines RISKAN_SIMD_AVX2 (x86-64) or
-// RISKAN_SIMD_NEON (aarch64) for the library. At run time simd_dispatch()
-// picks the widest compiled ISA the host actually supports — AVX2 via
-// cpuid, NEON unconditionally on aarch64 — and hands back the kernel
-// pointer the SimdExecutor runs.
+// The wide kernels (src/core/batch_simd*.cpp) are compiled by default
+// under the CMake option RISKAN_ENABLE_SIMD (ON), which defines
+// RISKAN_SIMD_AVX2 (x86-64) or RISKAN_SIMD_NEON (aarch64) for the library;
+// -DRISKAN_ENABLE_SIMD=OFF builds the portable scalar-only library. At run
+// time simd_dispatch() picks the widest compiled ISA the host actually
+// supports — AVX2 via cpuid, NEON unconditionally on aarch64 — and hands
+// back the kernel pointer the Sequential and Threaded executors run; with
+// no usable ISA they run the scalar kernel, bit for bit the same.
 //
 // Environment override (documented with RISKAN_OBS / RISKAN_TRACE in
 // docs/architecture.md):
-//   RISKAN_SIMD=off|0   — disable dispatch; Backend::Simd is then rejected
-//                         by validate_engine_config instead of silently
-//                         running scalar.
-//   RISKAN_SIMD=avx2    — require AVX2 (unavailable → rejected).
-//   RISKAN_SIMD=neon    — require NEON (unavailable → rejected).
+//   RISKAN_SIMD=off|0   — disable dispatch: the scalar kernel runs.
+//   RISKAN_SIMD=avx2    — only AVX2 may dispatch (unavailable → scalar).
+//   RISKAN_SIMD=neon    — only NEON may dispatch (unavailable → scalar).
 // The environment is re-read on every call so a process can flip the
 // override between runs (tests do).
 #pragma once
@@ -40,7 +39,7 @@ struct SimdDispatch {
   /// (RISKAN_ENABLE_SIMD); false means only the portable scalar kernel
   /// exists.
   bool compiled = false;
-  /// Why width == 0, for validate_engine_config's rejection message.
+  /// Why width == 0 (diagnostics and bench skip notices).
   const char* reason = "";
 };
 
@@ -49,7 +48,7 @@ struct SimdDispatch {
 /// called per executor construction and per config validation.
 SimdDispatch simd_dispatch();
 
-/// True when Backend::Simd / Backend::ThreadedSimd can run here.
+/// True when the Sequential and Threaded executors run the vector kernel.
 inline bool simd_available() { return simd_dispatch().width > 0; }
 
 }  // namespace riskan::core::exec

@@ -1,5 +1,6 @@
 #include "data/serialize.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/io_error.hpp"
@@ -119,9 +120,23 @@ YearEventLossTable decode_yelt(ByteReader& reader) {
   const auto trials = reader.u64();
   const auto entries = reader.u64();
 
+  // Size the columns only once the declared counts fit the bytes actually
+  // present, so a damaged count fails like the short read it implies
+  // instead of allocating without bound. Offsets and entries (a 4-byte
+  // event plus a 4-byte day) both cost one 8-byte word; counting in words
+  // keeps hostile counts from overflowing the check.
+  const std::uint64_t words = reader.remaining() / sizeof(std::uint64_t);
+  RISKAN_REQUIRE(trials < words && entries <= words - trials - 1,
+                 "encoded YELT declares more trials/entries than its payload holds");
   std::vector<std::uint64_t> offsets(trials + 1);
   for (auto& off : offsets) {
     off = reader.u64();
+  }
+  // The CSR offsets index the event/day columns below: they must start at
+  // 0, never decrease and end at `entries`.
+  if (offsets.front() != 0 || offsets.back() != entries ||
+      !std::is_sorted(offsets.begin(), offsets.end())) {
+    throw CorruptChunkError("encoded YELT offsets are not a monotone 0..entries index");
   }
   std::vector<EventId> events(entries);
   for (auto& e : events) {

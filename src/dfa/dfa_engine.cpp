@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
+#include "parallel/parallel_for.hpp"
 #include "util/require.hpp"
 
 namespace riskan::dfa {
@@ -53,21 +54,25 @@ DfaResult DfaEngine::run(const data::YearLossTable& cat_ylt) const {
     return cat_sorted[idx] + frac * (cat_sorted[idx + 1] - cat_sorted[idx]);
   };
 
-  std::vector<double> uniforms(dims);
   auto enterprise = result.enterprise_ylt.mutable_losses();
-
-  for (TrialId t = 0; t < trials; ++t) {
-    copula.sample(t, uniforms);
-    Money total = cat_quantile(uniforms[0]);
-    for (std::size_t s = 0; s < sources_.size(); ++s) {
-      const Money loss = sources_[s]->loss(uniforms[s + 1], t);
-      total += loss;
-      if (config_.keep_source_ylts) {
-        result.source_ylts[s][t] = loss;
-      }
-    }
-    enterprise[t] = total;
-  }
+  parallel_for(
+      0, trials,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<double> uniforms(dims);
+        for (auto t = static_cast<TrialId>(lo); t < hi; ++t) {
+          copula.sample(t, uniforms);
+          Money total = cat_quantile(uniforms[0]);
+          for (std::size_t s = 0; s < sources_.size(); ++s) {
+            const Money loss = sources_[s]->loss(uniforms[s + 1], t);
+            total += loss;
+            if (config_.keep_source_ylts) {
+              result.source_ylts[s][t] = loss;
+            }
+          }
+          enterprise[t] = total;
+        }
+      },
+      ParallelConfig{config_.pool, 0});
 
   // Summaries and capital metrics.
   result.cat_summary = core::summarise(cat_ylt);

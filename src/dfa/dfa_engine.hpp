@@ -9,9 +9,11 @@
 // namely Enterprise Risk Management."
 //
 // The engine streams trials: per trial it draws the copula vector, asks
-// each source for its loss, adds the catastrophe loss, and feeds online
-// accumulators (P2 quantile estimators + Welford stats) as well as the
-// combined YLT. Bytes-touched accounting supports the paper's terabyte
+// each source for its loss, adds the catastrophe loss, and writes the
+// combined YLT. Every step is a pure function of the trial (the copula and
+// the stochastic sources draw per-trial Philox streams), so the trial loop
+// runs on the pool in parallel chunks with results bit-identical to a
+// one-thread run. Bytes-touched accounting supports the paper's terabyte
 // arithmetic in bench_e7.
 #pragma once
 
@@ -23,6 +25,7 @@
 #include "data/ylt.hpp"
 #include "dfa/copula.hpp"
 #include "dfa/risk_sources.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace riskan::dfa {
 
@@ -32,6 +35,9 @@ struct DfaConfig {
   double correlation = 0.25;
   /// Keep per-source YLTs in the result (contracts x trials memory).
   bool keep_source_ylts = true;
+  /// Pool for the trial loop; nullptr = ThreadPool::shared(). run() blocks
+  /// on it, so it must not be called from one of this pool's tasks.
+  ThreadPool* pool = nullptr;
 };
 
 struct DfaResult {

@@ -40,4 +40,10 @@ double rate_on_line(Money premium, Money occ_limit);
 /// Computes LossStatistics from a simulated per-trial loss sample.
 LossStatistics summarise_losses(std::span<const Money> trial_losses);
 
+/// As above, for a caller that already holds `tail_ordered`: a copy of
+/// `trial_losses` ordered by sort_upper_tail (util/stats.hpp) at level 0.99
+/// or below, so one partial order can serve further tail reads.
+LossStatistics summarise_losses(std::span<const Money> trial_losses,
+                                std::span<const double> tail_ordered);
+
 }  // namespace riskan::finance

@@ -89,6 +89,19 @@ double tail_mean_above(std::span<const double> sorted, double p) {
   return n == 0 ? var : sum / static_cast<double>(n);
 }
 
+void sort_upper_tail(std::span<double> values, double p) {
+  RISKAN_REQUIRE(p >= 0.0 && p <= 1.0, "tail level must lie in [0,1]");
+  if (values.empty()) {
+    return;
+  }
+  // The index quantile_sorted computes for level p; higher levels read at
+  // or above it.
+  const auto first = values.begin() + static_cast<std::ptrdiff_t>(
+                                          p * static_cast<double>(values.size() - 1));
+  std::nth_element(values.begin(), first, values.end());
+  std::sort(first, values.end());
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), counts_(bins, 0) {
   RISKAN_REQUIRE(bins > 0, "histogram needs at least one bin");
   RISKAN_REQUIRE(hi > lo, "histogram range must be non-empty");

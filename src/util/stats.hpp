@@ -48,6 +48,13 @@ double quantile_sorted(std::span<const double> sorted, double p);
 /// block of TVaR. Returns the quantile itself when no value exceeds it.
 double tail_mean_above(std::span<const double> sorted, double p);
 
+/// Orders `values` just enough that quantile_sorted and tail_mean_above
+/// return their full-sort answers, bit for bit, at every level >= p: the
+/// order statistics from index floor(p·(n−1)) up are sorted in place and
+/// everything below them is no larger. An nth_element plus a sort of the
+/// tail instead of a full sort.
+void sort_upper_tail(std::span<double> values, double p);
+
 /// Fixed-width histogram for diagnostics and distribution shape tests.
 class Histogram {
  public:

@@ -2,6 +2,7 @@
 // pricer and elasticity model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/elasticity.hpp"
@@ -9,6 +10,7 @@
 #include "core/pricer.hpp"
 #include "util/prng.hpp"
 #include "util/require.hpp"
+#include "util/stats.hpp"
 
 namespace riskan::core {
 namespace {
@@ -178,6 +180,28 @@ TEST(Pricer, SameYeltSameQuote) {
   const auto b = pricer.price(portfolio.contract(0), portfolio.contract(0).layers()[0]);
   EXPECT_DOUBLE_EQ(a.technical_premium, b.technical_premium);
   EXPECT_DOUBLE_EQ(a.pml_250, b.pml_250);
+}
+
+TEST(Pricer, TailReadsMatchFullSortBitForBit) {
+  // The quote reads TVaR99 and the 1-in-250 PML off one partial order of
+  // the losses; both must equal the full-sort definitions exactly.
+  finance::PortfolioGenConfig pg;
+  pg.contracts = 2;
+  pg.catalog_events = 300;
+  pg.elt_rows = 120;
+  const auto portfolio = finance::generate_portfolio(pg);
+  data::YeltGenConfig yg;
+  yg.trials = 3'001;
+  const auto yelt = data::generate_yelt(300, yg);
+  const RealTimePricer pricer(yelt);
+  for (const auto& contract : portfolio.contracts()) {
+    const auto& layer = contract.layers()[0];
+    const auto quote = pricer.price(contract, layer);
+    auto sorted = run_layer(contract, layer, yelt, EngineConfig{});
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(quote.loss_stats.tvar_99, tail_mean_above(sorted, 0.99));
+    EXPECT_EQ(quote.pml_250, quantile_sorted(sorted, 1.0 - 1.0 / 250.0));
+  }
 }
 
 TEST(Elasticity, ProcessorsScaleWithWorkAndDeadline) {

@@ -8,6 +8,7 @@
 #include "dfa/copula.hpp"
 #include "dfa/dfa_engine.hpp"
 #include "dfa/risk_sources.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
 
@@ -285,6 +286,40 @@ TEST_F(DfaFixture, KeepSourceYltsOffShrinksResult) {
   EXPECT_TRUE(result.source_ylts.empty());
   EXPECT_TRUE(result.source_summaries.empty());
   EXPECT_EQ(result.enterprise_ylt.trials(), cat_ylt_.trials());
+}
+
+TEST_F(DfaFixture, PooledRunIsBitIdenticalToOneThread) {
+  // The trial loop is pure per trial, so chunking it across a pool must
+  // not move a bit of any output relative to a one-thread pool, which
+  // runs the whole loop inline.
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (const bool keep : {true, false}) {
+    DfaConfig config;
+    config.keep_source_ylts = keep;
+    config.pool = &one;
+    const auto serial = DfaEngine(standard_risk_sources(11), config).run(cat_ylt_);
+    config.pool = &four;
+    const auto pooled = DfaEngine(standard_risk_sources(11), config).run(cat_ylt_);
+
+    ASSERT_EQ(serial.enterprise_ylt.trials(), pooled.enterprise_ylt.trials());
+    for (TrialId t = 0; t < serial.enterprise_ylt.trials(); ++t) {
+      ASSERT_EQ(serial.enterprise_ylt[t], pooled.enterprise_ylt[t]) << "trial " << t;
+    }
+    ASSERT_EQ(serial.source_ylts.size(), pooled.source_ylts.size());
+    for (std::size_t s = 0; s < serial.source_ylts.size(); ++s) {
+      for (TrialId t = 0; t < serial.source_ylts[s].trials(); ++t) {
+        ASSERT_EQ(serial.source_ylts[s][t], pooled.source_ylts[s][t])
+            << "source " << s << " trial " << t;
+      }
+    }
+    EXPECT_EQ(serial.enterprise_summary.var_99_6, pooled.enterprise_summary.var_99_6);
+    EXPECT_EQ(serial.enterprise_summary.tvar_99, pooled.enterprise_summary.tvar_99);
+    EXPECT_EQ(serial.enterprise_summary.mean_annual_loss,
+              pooled.enterprise_summary.mean_annual_loss);
+    EXPECT_EQ(serial.economic_capital, pooled.economic_capital);
+    EXPECT_EQ(serial.diversification_benefit, pooled.diversification_benefit);
+  }
 }
 
 TEST(DfaEngine, RejectsBadInputs) {

@@ -13,14 +13,15 @@
 #include <vector>
 
 #include "core/aggregate_engine.hpp"
-#include "core/simd.hpp"
 #include "data/serialize.hpp"
 #include "data/trial_source.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/frame.hpp"
 #include "finance/contract.hpp"
+#include "kernel_modes.hpp"
 #include "mapreduce/aggregate_job.hpp"
 #include "mapreduce/dfs.hpp"
+#include "naive_oracle.hpp"
 #include "util/bytes.hpp"
 #include "util/io_error.hpp"
 #include "util/require.hpp"
@@ -160,27 +161,30 @@ TEST_P(DistRecovery, StalledWorkerBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Simd engine across the distribution runtime
+// Both trial kernels across the distribution runtime
 // ---------------------------------------------------------------------------
 
-// A caller running Backend::Simd gets the vector kernel inside every forked
-// worker (the coordinator keeps Simd for workers — it is pool-free and
-// bit-identical — and only demotes pool-backed backends to Sequential), and
-// the fold must still reproduce the single-process Sequential reference
-// exactly. 0 workers covers the in-process fallback path under Simd.
-TEST(DistSimd, SimdEngineBitIdenticalAcrossWorkerCounts) {
-  if (!core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
-  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
-    DistConfig config;
-    config.workers = workers;
-    core::EngineConfig engine;
-    engine.backend = core::Backend::Simd;
-    const auto result = run_distributed_aggregate(world().portfolio, engine,
-                                                  world().specs, fetcher(), config);
-    expect_bit_identical(result.portfolio_ylt);
-    EXPECT_EQ(result.stats.blocks_total, world().specs.size());
+// Workers always run Sequential, which runs the dispatched vector kernel —
+// or the scalar kernel when RISKAN_SIMD=off, which forked workers inherit.
+// Either way the fold must reproduce the single-process reference, itself
+// equal to the naive oracle. 0 workers covers the in-process fallback.
+TEST(DistKernel, BitIdenticalAcrossWorkerCountsAndKernels) {
+  core::EngineConfig engine;
+  engine.compute_oep = false;
+  engine.keep_contract_ylts = false;
+  const auto oracle = oracle::naive_oracle(world().portfolio, world().yelt, engine);
+  expect_bit_identical(oracle.portfolio_ylt);
+
+  for (const test_support::KernelMode mode : test_support::kKernelModes) {
+    const test_support::KernelScope scope(mode);
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+      DistConfig config;
+      config.workers = workers;
+      const auto result = run_distributed_aggregate(world().portfolio, engine,
+                                                    world().specs, fetcher(), config);
+      expect_bit_identical(result.portfolio_ylt);
+      EXPECT_EQ(result.stats.blocks_total, world().specs.size());
+    }
   }
 }
 

@@ -12,26 +12,18 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
-#include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
+#include "kernel_modes.hpp"
 #include "naive_oracle.hpp"
 
 namespace riskan::core {
 namespace {
 
 using oracle::naive_oracle;
-
-/// Every host backend plus — when this build/host dispatches a wide ISA —
-/// the Simd pair, so the equivalence matrices grow the vectorized rows
-/// automatically on SIMD-enabled builds.
-std::vector<Backend> backends_with_simd() {
-  std::vector<Backend> backends(std::begin(kAllBackends), std::end(kAllBackends));
-  if (exec::simd_available()) {
-    backends.insert(backends.end(), std::begin(kSimdBackends), std::end(kSimdBackends));
-  }
-  return backends;
-}
+using test_support::engine_rows;
+using test_support::EngineRow;
+using test_support::KernelScope;
 
 finance::Portfolio book(std::size_t contracts, int layers, std::uint64_t seed = 99,
                         EventId catalog = 800, std::size_t elt_rows = 150) {
@@ -85,17 +77,17 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
       config.secondary_uncertainty = secondary;
       config.compute_oep = oep;
       const auto oracle = naive_oracle(portfolio, yelt, config);
-      for (const Backend backend : backends_with_simd()) {
+      for (const EngineRow& row : engine_rows()) {
+        const KernelScope scope(row.mode);
         for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-          if (backend != Backend::Threaded && backend != Backend::ThreadedSimd &&
-              grain != 0) {
-            continue;  // grain only affects the chunk-partitioned backends
+          if (row.backend != Backend::Threaded && grain != 0) {
+            continue;  // grain only affects the chunk-partitioned backend
           }
-          config.backend = backend;
+          config.backend = row.backend;
           config.trial_grain = grain;
           const auto result = run_aggregate_analysis(portfolio, yelt, config);
           expect_identical(oracle, result,
-                           std::string(to_string(backend)) +
+                           test_support::to_string(row) +
                                (secondary ? "/secondary" : "/means") +
                                (oep ? "/oep" : "/no-oep") + "/grain=" +
                                std::to_string(grain));
@@ -148,12 +140,12 @@ TEST(PortfolioBatch, DegenerateSingleContractBatch) {
   const auto yelt = lens(1'000);
 
   const auto per_contract = naive_oracle(portfolio, yelt, EngineConfig{});
-  for (const Backend backend : backends_with_simd()) {
+  for (const EngineRow& row : engine_rows()) {
+    const KernelScope scope(row.mode);
     EngineConfig config;
-    config.backend = backend;
+    config.backend = row.backend;
     const auto batched = run_portfolio_batch(portfolio, yelt, config);
-    expect_identical(per_contract, batched,
-                     std::string("1-contract/") + to_string(backend));
+    expect_identical(per_contract, batched, "1-contract/" + test_support::to_string(row));
   }
 }
 
@@ -238,11 +230,11 @@ TEST(PortfolioBatch, RejectionHeavySecondaryBitIdenticalAcrossBackends) {
   config.secondary_uncertainty = true;
   const auto reference = naive_oracle(portfolio, yelt, config);
 
-  for (const Backend backend : backends_with_simd()) {
-    config.backend = backend;
+  for (const EngineRow& row : engine_rows()) {
+    const KernelScope scope(row.mode);
+    config.backend = row.backend;
     const auto result = run_aggregate_analysis(portfolio, yelt, config);
-    expect_identical(reference, result,
-                     std::string("rejection-heavy/") + to_string(backend));
+    expect_identical(reference, result, "rejection-heavy/" + test_support::to_string(row));
   }
 }
 

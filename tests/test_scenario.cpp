@@ -20,9 +20,9 @@
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/post_event.hpp"
-#include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
+#include "kernel_modes.hpp"
 #include "scenario/plan.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
@@ -77,18 +77,6 @@ void expect_identical(const core::EngineResult& a, const core::EngineResult& b,
 /// generated book, so exclusion scenarios change real losses.
 std::vector<EventId> busy_events() { return {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}; }
 
-/// Every host backend plus the Simd pair when this build/host dispatches a
-/// wide ISA (mask scenarios exercise the vector kernel's scalar fallback).
-std::vector<core::Backend> backends_with_simd() {
-  std::vector<core::Backend> backends(std::begin(core::kAllBackends),
-                                      std::end(core::kAllBackends));
-  if (core::exec::simd_available()) {
-    backends.insert(backends.end(), std::begin(core::kSimdBackends),
-                    std::end(core::kSimdBackends));
-  }
-  return backends;
-}
-
 TEST(ScenarioSweep, IdentityBitIdenticalAcrossBackendsGrainsAndSecondary) {
   const auto portfolio = book(/*contracts=*/4, /*layers=*/3);
   const auto yelt = lens(1'200);
@@ -103,21 +91,21 @@ TEST(ScenarioSweep, IdentityBitIdenticalAcrossBackendsGrainsAndSecondary) {
   specs[2].excluded_events = busy_events();
 
   for (const bool secondary : {false, true}) {
-    for (const core::Backend backend : backends_with_simd()) {
+    for (const test_support::EngineRow& row : test_support::engine_rows()) {
+      const test_support::KernelScope scope(row.mode);
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != core::Backend::Threaded &&
-            backend != core::Backend::ThreadedSimd && grain != 0) {
-          continue;  // grain only affects the chunk-partitioned backends
+        if (row.backend != core::Backend::Threaded && grain != 0) {
+          continue;  // grain only affects the chunk-partitioned backend
         }
         core::EngineConfig config;
-        config.backend = backend;
+        config.backend = row.backend;
         config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
 
         const auto reference = core::run_portfolio_batch(portfolio, yelt, config);
         const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
 
-        const std::string what = std::string(core::to_string(backend)) +
+        const std::string what = test_support::to_string(row) +
                                  (secondary ? "/secondary" : "/means") +
                                  "/grain=" + std::to_string(grain);
         expect_identical(reference, sweep.base, what + " base");
@@ -148,14 +136,14 @@ TEST(ScenarioSweep, MaskBitIdenticalToFilteredYeltAcrossBackendsGrainsAndSeconda
   specs[0].excluded_events = excluded;
 
   for (const bool secondary : {false, true}) {
-    for (const core::Backend backend : backends_with_simd()) {
+    for (const test_support::EngineRow& row : test_support::engine_rows()) {
+      const test_support::KernelScope scope(row.mode);
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != core::Backend::Threaded &&
-            backend != core::Backend::ThreadedSimd && grain != 0) {
+        if (row.backend != core::Backend::Threaded && grain != 0) {
           continue;
         }
         core::EngineConfig config;
-        config.backend = backend;
+        config.backend = row.backend;
         config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
 
@@ -163,7 +151,7 @@ TEST(ScenarioSweep, MaskBitIdenticalToFilteredYeltAcrossBackendsGrainsAndSeconda
         const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
 
         expect_identical(reference, sweep.scenarios[0],
-                         std::string(core::to_string(backend)) +
+                         test_support::to_string(row) +
                              (secondary ? "/secondary" : "/means") +
                              "/grain=" + std::to_string(grain) + " mask");
       }
@@ -200,15 +188,16 @@ TEST(ScenarioSweep, MaskOnRejectionHeavyBookBitIdenticalToFilteredYelt) {
   specs[0].name = "mask";
   specs[0].excluded_events = excluded;
 
-  for (const core::Backend backend : backends_with_simd()) {
+  for (const test_support::EngineRow& row : test_support::engine_rows()) {
+    const test_support::KernelScope scope(row.mode);
     core::EngineConfig config;
-    config.backend = backend;
+    config.backend = row.backend;
     config.secondary_uncertainty = true;
 
     const auto reference = core::run_portfolio_batch(portfolio, filtered, config);
     const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
     expect_identical(reference, sweep.scenarios[0],
-                     std::string("rejection-heavy mask/") + core::to_string(backend));
+                     "rejection-heavy mask/" + test_support::to_string(row));
   }
 }
 

@@ -1,17 +1,14 @@
-// SIMD backend — dispatch, validation and the bit-identity contract.
+// SIMD dispatch, the default vector path and the bit-identity contract.
 //
-// The vectorized kernel is pure scheduling: Backend::Simd and
-// Backend::ThreadedSimd must reproduce the naive oracle (and so
-// Backend::Sequential) to the bit across the whole feature matrix
-// (secondary sampling, OEP, grain sizes, lane tails). Hosts or builds
-// without a wide ISA reject the backends up front via
-// validate_engine_config — never silently run something else — which is
-// also what these tests rely on to skip the identity matrix gracefully
-// on scalar builds.
+// The vectorized kernel is pure scheduling: the Sequential and Threaded
+// executors run it whenever the host dispatches a wide ISA, and must
+// reproduce the naive oracle to the bit across the whole feature matrix
+// (secondary sampling, OEP, grain sizes, lane tails) — and so must the
+// scalar kernel they fall back to under RISKAN_SIMD=off. Both kernel modes
+// run on every build: a scalar-only build runs the scalar kernel twice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,42 +19,18 @@
 #include "data/elt.hpp"
 #include "finance/contract.hpp"
 #include "finance/terms.hpp"
+#include "kernel_modes.hpp"
 #include "naive_oracle.hpp"
+#include "obs/obs.hpp"
 #include "util/require.hpp"
 
 namespace riskan::core {
 namespace {
 
-/// Scoped environment override that restores the previous value on exit
-/// (simd_dispatch() re-reads the environment on every call).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
+using test_support::KernelMode;
+using test_support::KernelScope;
+using test_support::kKernelModes;
+using test_support::ScopedEnv;
 
 TEST(SimdDispatch, DecisionIsSelfConsistent) {
   const exec::SimdDispatch d = exec::simd_dispatch();
@@ -76,7 +49,7 @@ TEST(SimdDispatch, DecisionIsSelfConsistent) {
 
 TEST(SimdDispatch, EnvOffDisablesDispatch) {
   for (const char* off : {"off", "0"}) {
-    EnvGuard guard("RISKAN_SIMD", off);
+    ScopedEnv guard("RISKAN_SIMD", off);
     const exec::SimdDispatch d = exec::simd_dispatch();
     EXPECT_EQ(d.width, 0u) << off;
     EXPECT_EQ(d.kernel, nullptr) << off;
@@ -89,57 +62,15 @@ TEST(SimdDispatch, EnvRequiringForeignIsaRejects) {
   // Requiring the ISA this host does not dispatch must fail closed.
   exec::SimdDispatch base;
   {
-    EnvGuard guard("RISKAN_SIMD", nullptr);
+    ScopedEnv guard("RISKAN_SIMD", nullptr);
     base = exec::simd_dispatch();
   }
   const char* foreign =
       base.isa == exec::SimdIsa::Neon ? "avx2" : "neon";
-  EnvGuard guard("RISKAN_SIMD", foreign);
+  ScopedEnv guard("RISKAN_SIMD", foreign);
   const exec::SimdDispatch d = exec::simd_dispatch();
   EXPECT_EQ(d.width, 0u);
   EXPECT_EQ(d.kernel, nullptr);
-}
-
-TEST(SimdDispatch, ValidationRejectsSimdBackendWhenUnavailable) {
-  finance::PortfolioGenConfig pg;
-  pg.contracts = 1;
-  pg.catalog_events = 100;
-  pg.elt_rows = 30;
-  const auto portfolio = finance::generate_portfolio(pg);
-  data::YeltGenConfig yg;
-  yg.trials = 50;
-  const auto yelt = data::generate_yelt(100, yg);
-
-  // RISKAN_SIMD=off makes the backend unavailable on every build, so the
-  // rejection path is exercised on SIMD-enabled hosts too.
-  EnvGuard guard("RISKAN_SIMD", "off");
-  for (const Backend backend : kSimdBackends) {
-    EngineConfig config;
-    config.backend = backend;
-    EXPECT_THROW((void)run_aggregate_analysis(portfolio, yelt, config),
-                 ContractViolation)
-        << to_string(backend);
-  }
-}
-
-TEST(SimdDispatch, ScalarBuildAlwaysRejectsSimdBackend) {
-  const exec::SimdDispatch d = exec::simd_dispatch();
-  if (d.compiled) {
-    GTEST_SKIP() << "wide kernels compiled in; covered by the env-off test";
-  }
-  finance::PortfolioGenConfig pg;
-  pg.contracts = 1;
-  pg.catalog_events = 100;
-  pg.elt_rows = 30;
-  const auto portfolio = finance::generate_portfolio(pg);
-  data::YeltGenConfig yg;
-  yg.trials = 50;
-  const auto yelt = data::generate_yelt(100, yg);
-
-  EngineConfig config;
-  config.backend = Backend::Simd;
-  EXPECT_THROW((void)run_aggregate_analysis(portfolio, yelt, config),
-               ContractViolation);
 }
 
 TEST(ApplyOccurrenceLanes, MatchesScalarBitwiseBothRetentionKinds) {
@@ -226,7 +157,7 @@ TEST(SecondarySamplerLanes, MatchesScalarSampleBitwise) {
 
   // The same contract holds with vector dispatch forced off: the facade
   // falls back to the scalar block body without moving a bit.
-  EnvGuard guard("RISKAN_SIMD", "off");
+  ScopedEnv guard("RISKAN_SIMD", "off");
   const std::size_t n = 130;
   std::vector<std::uint32_t> rows(n);
   std::vector<std::uint64_t> lo(n);
@@ -292,7 +223,7 @@ TEST(MaxRangeLanes, MatchesScalarMaxIncludingTails) {
           << "n=" << n << " init=" << init;
     }
   }
-  EnvGuard guard("RISKAN_SIMD", "off");
+  ScopedEnv guard("RISKAN_SIMD", "off");
   EXPECT_EQ(batch::max_range_lanes(values.data(), values.size(), 0.0), 2e9);
 }
 
@@ -341,43 +272,85 @@ void expect_identical(const EngineResult& a, const EngineResult& b,
   }
 }
 
-TEST(SimdBackend, BitIdenticalToSequentialAcrossFeatureMatrix) {
+double vector_occurrences() {
+  return obs::MetricsRegistry::global().snapshot().counter_value(
+      "exec.simd.vector_occurrences");
+}
+
+TEST(SimdDefaultPath, DefaultConfigRunsTakeTheVectorKernel) {
   if (!exec::simd_available()) {
     GTEST_SKIP() << "no wide ISA dispatched on this build/host";
   }
+  if (!obs::enabled()) {
+    GTEST_SKIP() << "observability disabled (RISKAN_OBS=0): counters do not move";
+  }
+  const auto portfolio = simd_book(/*contracts=*/3, /*layers=*/2);
+  const auto yelt = simd_lens(400);
+
+  const double before_engine = vector_occurrences();
+  (void)run_aggregate_analysis(portfolio, yelt, EngineConfig{});
+  const double after_engine = vector_occurrences();
+  EXPECT_GT(after_engine, before_engine) << "default engine run stayed scalar";
+
+  const finance::Contract& contract = portfolio.contract(0);
+  (void)run_layer(contract, contract.layers()[0], yelt, EngineConfig{});
+  EXPECT_GT(vector_occurrences(), after_engine) << "default run_layer stayed scalar";
+}
+
+TEST(SimdDefaultPath, SimdOffKeepsTheVectorCounterFlat) {
+  const auto portfolio = simd_book(/*contracts=*/3, /*layers=*/2);
+  const auto yelt = simd_lens(400);
+  const finance::Contract& contract = portfolio.contract(0);
+
+  const double before = vector_occurrences();
+  {
+    ScopedEnv off("RISKAN_SIMD", "off");
+    for (const Backend backend : kHostBackends) {
+      EngineConfig config;
+      config.backend = backend;
+      (void)run_aggregate_analysis(portfolio, yelt, config);
+      (void)run_layer(contract, contract.layers()[0], yelt, config);
+    }
+  }
+  EXPECT_EQ(vector_occurrences(), before);
+}
+
+TEST(SimdKernel, BitIdenticalToOracleAcrossFeatureMatrix) {
   const auto portfolio = simd_book(/*contracts=*/6, /*layers=*/3);
   const auto yelt = simd_lens(1'500);
 
-  for (const bool secondary : {false, true}) {
-    for (const bool oep : {false, true}) {
-      EngineConfig config;
-      config.secondary_uncertainty = secondary;
-      config.compute_oep = oep;
-      const auto reference = oracle::naive_oracle(portfolio, yelt, config);
+  for (const KernelMode mode : kKernelModes) {
+    for (const bool secondary : {false, true}) {
+      for (const bool oep : {false, true}) {
+        EngineConfig config;
+        config.secondary_uncertainty = secondary;
+        config.compute_oep = oep;
+        const auto reference = oracle::naive_oracle(portfolio, yelt, config);
+        const std::string what = std::string(test_support::to_string(mode)) +
+                                  (secondary ? "/secondary" : "/means") +
+                                  (oep ? "/oep" : "/no-oep");
+        const KernelScope scope(mode);
 
-      config.backend = Backend::Simd;
-      const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-      const std::string what =
-          std::string(secondary ? "secondary" : "means") + (oep ? "/oep" : "/no-oep");
-      expect_identical(reference, simd, "simd/" + what);
-      EXPECT_EQ(reference.elt_lookups, simd.elt_lookups) << what;
-      EXPECT_EQ(reference.occurrences_processed, simd.occurrences_processed) << what;
+        config.backend = Backend::Sequential;
+        const auto sequential = run_aggregate_analysis(portfolio, yelt, config);
+        expect_identical(reference, sequential, "sequential/" + what);
+        EXPECT_EQ(reference.elt_lookups, sequential.elt_lookups) << what;
+        EXPECT_EQ(reference.occurrences_processed, sequential.occurrences_processed)
+            << what;
 
-      for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        config.backend = Backend::ThreadedSimd;
-        config.trial_grain = grain;
-        const auto threaded = run_aggregate_analysis(portfolio, yelt, config);
-        expect_identical(reference, threaded,
-                         "threaded-simd/" + what + "/grain=" + std::to_string(grain));
+        for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
+          config.backend = Backend::Threaded;
+          config.trial_grain = grain;
+          const auto threaded = run_aggregate_analysis(portfolio, yelt, config);
+          expect_identical(reference, threaded,
+                           "threaded/" + what + "/grain=" + std::to_string(grain));
+        }
       }
     }
   }
 }
 
-TEST(SimdBackend, LaneTailsOnHeavyAndOddHitCounts) {
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+TEST(SimdKernel, LaneTailsOnHeavyAndOddHitCounts) {
   // An ELT covering the full catalogue makes every occurrence a hit, and a
   // high occurrence rate gives trials with hit counts well past the vector
   // width — including counts not divisible by it, so the scalar lane tail
@@ -391,30 +364,34 @@ TEST(SimdBackend, LaneTailsOnHeavyAndOddHitCounts) {
     const auto yelt = simd_lens(600, catalog, /*seed=*/13, events_per_year);
     for (const bool secondary : {false, true}) {
       EngineConfig config;
+      config.backend = Backend::Sequential;
       config.secondary_uncertainty = secondary;
       const auto reference = oracle::naive_oracle(portfolio, yelt, config);
-      config.backend = Backend::Simd;
-      const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-      expect_identical(reference, simd,
-                       "tails/rate=" + std::to_string(events_per_year) +
-                           (secondary ? "/secondary" : "/means"));
+      for (const KernelMode mode : kKernelModes) {
+        const KernelScope scope(mode);
+        const auto result = run_aggregate_analysis(portfolio, yelt, config);
+        expect_identical(reference, result,
+                         std::string(test_support::to_string(mode)) +
+                             "/tails/rate=" + std::to_string(events_per_year) +
+                             (secondary ? "/secondary" : "/means"));
+      }
     }
   }
 }
 
-TEST(SimdBackend, EmptyAndDegenerateTrials) {
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+TEST(SimdKernel, EmptyAndDegenerateTrials) {
   // Near-empty lens: most trials have zero occurrences (n == 0 early-out).
   const auto portfolio = simd_book(/*contracts=*/2, /*layers=*/1);
   const auto yelt = simd_lens(400, 800, /*seed=*/3, /*events_per_year=*/0.3);
 
   EngineConfig config;
+  config.backend = Backend::Sequential;
   const auto reference = oracle::naive_oracle(portfolio, yelt, config);
-  config.backend = Backend::Simd;
-  const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-  expect_identical(reference, simd, "sparse lens");
+  for (const KernelMode mode : kKernelModes) {
+    const KernelScope scope(mode);
+    expect_identical(reference, run_aggregate_analysis(portfolio, yelt, config),
+                     std::string(test_support::to_string(mode)) + "/sparse lens");
+  }
 }
 
 }  // namespace

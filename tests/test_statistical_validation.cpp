@@ -14,9 +14,9 @@
 #include "catmod/event_catalog.hpp"
 #include "catmod/yelt_bridge.hpp"
 #include "core/aggregate_engine.hpp"
-#include "core/simd.hpp"
 #include "data/elt.hpp"
 #include "finance/contract.hpp"
+#include "kernel_modes.hpp"
 #include "util/distributions.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
@@ -98,22 +98,19 @@ TEST_P(ChainValidation, SecondarySamplingPreservesTheMean) {
   // up to sampling error (the sampled run has extra variance).
   EXPECT_NEAR(sampled.portfolio_ylt.mean() / base.portfolio_ylt.mean(), 1.0, 0.05);
 
-  // The vectorized backends run the same chain: bit-identical to the
-  // sequential sampled result, so the statistical property transfers by
-  // construction — and this asserts it really does at 30k-trial scale.
-  if (core::exec::simd_available()) {
-    for (const core::Backend backend :
-         {core::Backend::Simd, core::Backend::ThreadedSimd}) {
-      core::EngineConfig wide = on;
-      wide.backend = backend;
-      const auto vec = core::run_aggregate_analysis(chain.portfolio, yelt, wide);
-      ASSERT_EQ(vec.portfolio_ylt.trials(), sampled.portfolio_ylt.trials());
-      for (TrialId t = 0; t < vec.portfolio_ylt.trials(); ++t) {
-        ASSERT_EQ(vec.portfolio_ylt[t], sampled.portfolio_ylt[t])
-            << core::to_string(backend) << " trial " << t;
-      }
-      EXPECT_NEAR(vec.portfolio_ylt.mean() / base.portfolio_ylt.mean(), 1.0, 0.05)
-          << core::to_string(backend);
+  // Both trial kernels run the same chain: the sampled result is bit for
+  // bit the same under RISKAN_SIMD=off, so the statistical property
+  // transfers by construction — and this asserts it really does at
+  // 30k-trial scale, on both host backends.
+  const test_support::ScopedEnv scalar("RISKAN_SIMD", "off");
+  for (const core::Backend backend : core::kHostBackends) {
+    core::EngineConfig config = on;
+    config.backend = backend;
+    const auto result = core::run_aggregate_analysis(chain.portfolio, yelt, config);
+    ASSERT_EQ(result.portfolio_ylt.trials(), sampled.portfolio_ylt.trials());
+    for (TrialId t = 0; t < result.portfolio_ylt.trials(); ++t) {
+      ASSERT_EQ(result.portfolio_ylt[t], sampled.portfolio_ylt[t])
+          << core::to_string(backend) << " trial " << t;
     }
   }
 }

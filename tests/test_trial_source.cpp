@@ -5,18 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
-#include "core/simd.hpp"
 #include "core/streaming.hpp"
 #include "data/chunked_file.hpp"
 #include "data/serialize.hpp"
 #include "data/trial_source.hpp"
+#include "kernel_modes.hpp"
 #include "naive_oracle.hpp"
 #include "scenario/sweep.hpp"
 #include "util/bytes.hpp"
@@ -29,6 +31,8 @@ namespace {
 using core::Backend;
 using core::EngineConfig;
 using core::EngineResult;
+using test_support::KernelMode;
+using test_support::KernelScope;
 
 struct SmallWorkload {
   finance::Portfolio portfolio;
@@ -143,6 +147,50 @@ TEST(EncodedBlockSource, BitFlippedPayloadThrowsTypedError) {
     bytes[pos] ^= std::byte{0x10};
     EXPECT_THROW(data::EncodedBlockSource{bytes}, CorruptChunkError)
         << "flip at " << pos;
+  }
+}
+
+/// An encoded YELT with offset `index` (0 = the leading zero, trials = the
+/// terminating entry count) overwritten by `value`.
+std::vector<std::byte> with_offset(const data::YearEventLossTable& yelt, std::size_t index,
+                                   std::uint64_t value) {
+  ByteWriter writer;
+  data::encode(yelt, writer);
+  auto bytes = writer.buffer();
+  // magic, version (4 bytes each), trials, entries (8 each), then offsets.
+  const std::size_t at = 24 + index * sizeof(std::uint64_t);
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  return bytes;
+}
+
+TEST(EncodedBlockSource, NonMonotoneOffsetThrowsTypedError) {
+  const auto w = make_workload(1, 33);
+  const auto offsets = w.yelt.offsets();
+  ASSERT_LT(offsets[2], offsets.back()) << "workload needs occurrences after trial 1";
+  // Trial 0 now ends after trial 1 does: every offset stays within the
+  // entry count, only the order is broken.
+  const auto bytes = with_offset(w.yelt, 1, offsets[2] + 1);
+  EXPECT_THROW(data::EncodedBlockSource{bytes}, CorruptChunkError);
+  ByteReader reader(bytes);
+  EXPECT_THROW((void)data::decode_yelt(reader), CorruptChunkError);
+}
+
+TEST(EncodedBlockSource, OverrunningOffsetThrowsTypedError) {
+  const auto w = make_workload(1, 33);
+  const auto offsets = w.yelt.offsets();
+  const std::size_t trials = w.yelt.trials();
+  // A middle trial's end and the terminating offset each pointing past
+  // the event column.
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {trials / 2, offsets.back() + 5},
+      {trials, offsets.back() + 1},
+      {trials, offsets.back() + 1'000'000},
+  };
+  for (const auto& [index, past] : cases) {
+    const auto bytes = with_offset(w.yelt, index, past);
+    EXPECT_THROW(data::EncodedBlockSource{bytes}, CorruptChunkError) << index;
+    ByteReader reader(bytes);
+    EXPECT_THROW((void)data::decode_yelt(reader), CorruptChunkError) << index;
   }
 }
 
@@ -360,21 +408,17 @@ TEST(EncodeYeltSlice, ByteIdenticalToRebuiltBlock) {
 // Streamed vs in-memory equivalence matrix
 // ---------------------------------------------------------------------------
 
-class StreamedEquivalence
-    : public ::testing::TestWithParam<std::tuple<Backend, bool, bool>> {};
-
 // Parameters: backend; whether the streamed run enters through
 // run_portfolio_batch over a ChunkedFileSource (true) or through
-// run_aggregate_streaming (false); secondary sampling.
-TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
-  const auto [backend, batch, secondary] = GetParam();
-  if ((backend == Backend::Simd || backend == Backend::ThreadedSimd) &&
-      !core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+// run_aggregate_streaming (false); secondary sampling. `mode` picks the
+// kernel the host executors run.
+void check_streamed_equivalence(Backend backend, KernelMode mode, bool batch,
+                                bool secondary) {
+  const KernelScope scope(mode);
   const auto w = make_workload();
   const std::string path = "/tmp/riskan_equiv_" + std::to_string(static_cast<int>(backend)) +
-                           (batch ? "_b" : "_n") + (secondary ? "_s" : "_m") + ".yeltc";
+                           "_" + test_support::to_string(mode) + (batch ? "_b" : "_n") +
+                           (secondary ? "_s" : "_m") + ".yeltc";
   core::save_yelt_chunked(w.yelt, path, 128);
 
   EngineConfig config;
@@ -398,17 +442,33 @@ TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
   remove_file(path);
 }
 
+class StreamedEquivalence
+    : public ::testing::TestWithParam<std::tuple<Backend, bool, bool>> {};
+
+TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
+  const auto [backend, batch, secondary] = GetParam();
+  check_streamed_equivalence(backend, KernelMode::Dispatched, batch, secondary);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Matrix, StreamedEquivalence,
     ::testing::Combine(::testing::ValuesIn(core::kAllBackends), ::testing::Bool(),
                        ::testing::Bool()));
 
-// The vectorized rows of the same matrix — exercising the out-of-core
-// rebind path (plan lowered once, re-bound per block) under the Simd
-// executors; skipped on builds/hosts without a wide ISA.
+// The scalar-kernel rows of the same matrix: the host backends under
+// RISKAN_SIMD=off, so the out-of-core rebind path (plan lowered once,
+// re-bound per block) runs on both kernels.
+class ScalarKernelStreamedEquivalence
+    : public ::testing::TestWithParam<std::tuple<Backend, bool, bool>> {};
+
+TEST_P(ScalarKernelStreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
+  const auto [backend, batch, secondary] = GetParam();
+  check_streamed_equivalence(backend, KernelMode::ScalarOff, batch, secondary);
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    SimdMatrix, StreamedEquivalence,
-    ::testing::Combine(::testing::ValuesIn(core::kSimdBackends), ::testing::Bool(),
+    HostMatrix, ScalarKernelStreamedEquivalence,
+    ::testing::Combine(::testing::ValuesIn(core::kHostBackends), ::testing::Bool(),
                        ::testing::Bool()));
 
 TEST(StreamedEquivalence, TrialBaseOffsetsCompose) {
@@ -431,17 +491,11 @@ TEST(StreamedEquivalence, TrialBaseOffsetsCompose) {
 // Streamed scenario sweeps
 // ---------------------------------------------------------------------------
 
-class StreamedSweep : public ::testing::TestWithParam<Backend> {};
-
-TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
-  const Backend backend = GetParam();
-  if ((backend == Backend::Simd || backend == Backend::ThreadedSimd) &&
-      !core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+void check_streamed_sweep(Backend backend, KernelMode mode) {
+  const KernelScope scope(mode);
   const auto w = make_workload(4, 400);
-  const std::string path =
-      "/tmp/riskan_sweep_" + std::to_string(static_cast<int>(backend)) + ".yeltc";
+  const std::string path = "/tmp/riskan_sweep_" + std::to_string(static_cast<int>(backend)) +
+                           "_" + test_support::to_string(mode) + ".yeltc";
   core::save_yelt_chunked(w.yelt, path, 150);
 
   std::vector<scenario::ScenarioSpec> specs(3);
@@ -471,10 +525,24 @@ TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
   remove_file(path);
 }
 
+class StreamedSweep : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
+  check_streamed_sweep(GetParam(), KernelMode::Dispatched);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, StreamedSweep,
                          ::testing::ValuesIn(core::kAllBackends));
-INSTANTIATE_TEST_SUITE_P(SimdBackends, StreamedSweep,
-                         ::testing::ValuesIn(core::kSimdBackends));
+
+// The host backends again under RISKAN_SIMD=off (the scalar kernel).
+class ScalarKernelStreamedSweep : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(ScalarKernelStreamedSweep, BitIdenticalToInMemorySweep) {
+  check_streamed_sweep(GetParam(), KernelMode::ScalarOff);
+}
+
+INSTANTIATE_TEST_SUITE_P(HostBackends, ScalarKernelStreamedSweep,
+                         ::testing::ValuesIn(core::kHostBackends));
 
 TEST(StreamedBatch, MultiBlockSourceThroughRunPortfolioBatch) {
   const auto w = make_workload(3, 250);

@@ -143,6 +143,36 @@ TEST(TailMean, DominatesQuantile) {
   }
 }
 
+TEST(SortUpperTail, TailReadsMatchFullSortBitForBit) {
+  // Ties and a long flat zero run (like a layer's no-loss years) included.
+  Xoshiro256ss rng(77);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{101},
+                              std::size_t{5'000}}) {
+    std::vector<double> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = to_unit_double(rng());
+      values[i] = u < 0.6 ? 0.0 : std::floor(u * 50.0) * 1e5;
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 0.5, 0.99}) {
+      std::vector<double> tail = values;
+      sort_upper_tail(tail, p);
+      for (const double q : {p, 0.99, 0.996, 1.0}) {
+        if (q < p) {
+          continue;
+        }
+        EXPECT_EQ(quantile_sorted(tail, q), quantile_sorted(sorted, q)) << n << " " << q;
+        EXPECT_EQ(tail_mean_above(tail, q), tail_mean_above(sorted, q)) << n << " " << q;
+      }
+    }
+  }
+  std::vector<double> empty;
+  sort_upper_tail(empty, 0.99);
+  std::vector<double> one{1.0};
+  EXPECT_THROW(sort_upper_tail(one, 1.5), ContractViolation);
+}
+
 TEST(Histogram, BinsAndEdges) {
   Histogram h(0.0, 10.0, 5);
   h.add(-1.0);   // underflow
