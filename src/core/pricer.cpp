@@ -1,9 +1,6 @@
 #include "core/pricer.hpp"
 
-#include <vector>
-
 #include "obs/obs.hpp"
-#include "util/stats.hpp"
 
 namespace riskan::core {
 
@@ -18,13 +15,10 @@ PricingQuote RealTimePricer::price(const finance::Contract& contract,
   PricingQuote quote;
   quote.seconds = watch.stop();
   quote.trials = yelt_.trials();
-  // One partial order serves both tail reads: TVaR99 and the 1-in-250 PML.
-  std::vector<double> tail(losses.begin(), losses.end());
-  sort_upper_tail(tail, 0.99);
-  quote.loss_stats = finance::summarise_losses(losses, tail);
+  quote.loss_stats = finance::summarise_losses(losses);
   quote.technical_premium = finance::technical_premium(quote.loss_stats, pricing_);
   quote.rate_on_line = finance::rate_on_line(quote.technical_premium, layer.terms.occ_limit);
-  quote.pml_250 = quantile_sorted(tail, 1.0 - 1.0 / 250.0);
+  quote.pml_250 = quote.loss_stats.pml_250;
   return quote;
 }
 

@@ -5,6 +5,7 @@
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/require.hpp"
+#include "util/stats.hpp"
 
 namespace riskan::dfa {
 
@@ -44,15 +45,6 @@ DfaResult DfaEngine::run(const data::YearLossTable& cat_ylt) const {
   // quantile. Sorting once gives the quantile function.
   std::vector<Money> cat_sorted(cat_ylt.losses().begin(), cat_ylt.losses().end());
   std::sort(cat_sorted.begin(), cat_sorted.end());
-  auto cat_quantile = [&cat_sorted](double u) {
-    const double h = u * static_cast<double>(cat_sorted.size() - 1);
-    const auto idx = static_cast<std::size_t>(h);
-    if (idx + 1 >= cat_sorted.size()) {
-      return cat_sorted.back();
-    }
-    const double frac = h - static_cast<double>(idx);
-    return cat_sorted[idx] + frac * (cat_sorted[idx + 1] - cat_sorted[idx]);
-  };
 
   auto enterprise = result.enterprise_ylt.mutable_losses();
   parallel_for(
@@ -61,7 +53,7 @@ DfaResult DfaEngine::run(const data::YearLossTable& cat_ylt) const {
         std::vector<double> uniforms(dims);
         for (auto t = static_cast<TrialId>(lo); t < hi; ++t) {
           copula.sample(t, uniforms);
-          Money total = cat_quantile(uniforms[0]);
+          Money total = quantile_sorted(cat_sorted, uniforms[0]);
           for (std::size_t s = 0; s < sources_.size(); ++s) {
             const Money loss = sources_[s]->loss(uniforms[s + 1], t);
             total += loss;
@@ -71,8 +63,7 @@ DfaResult DfaEngine::run(const data::YearLossTable& cat_ylt) const {
           }
           enterprise[t] = total;
         }
-      },
-      ParallelConfig{config_.pool, 0});
+      });
 
   // Summaries and capital metrics.
   result.cat_summary = core::summarise(cat_ylt);

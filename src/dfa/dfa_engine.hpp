@@ -25,7 +25,6 @@
 #include "data/ylt.hpp"
 #include "dfa/copula.hpp"
 #include "dfa/risk_sources.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace riskan::dfa {
 
@@ -35,9 +34,6 @@ struct DfaConfig {
   double correlation = 0.25;
   /// Keep per-source YLTs in the result (contracts x trials memory).
   bool keep_source_ylts = true;
-  /// Pool for the trial loop; nullptr = ThreadPool::shared(). run() blocks
-  /// on it, so it must not be called from one of this pool's tasks.
-  ThreadPool* pool = nullptr;
 };
 
 struct DfaResult {
@@ -70,7 +66,8 @@ class DfaEngine {
   /// dimension 0; sources follow in order.
   DfaEngine(std::vector<std::unique_ptr<RiskSource>> sources, DfaConfig config = {});
 
-  /// Runs over the catastrophe YLT's trials.
+  /// Runs over the catastrophe YLT's trials on ThreadPool::shared(). It
+  /// blocks on that pool, so it must not be called from one of its tasks.
   DfaResult run(const data::YearLossTable& cat_ylt) const;
 
   std::size_t source_count() const noexcept { return sources_.size(); }

@@ -32,6 +32,9 @@ class RiskSource {
   /// Loss for `trial` given copula uniform `u` in (0,1). Monotone
   /// non-decreasing in u (u is the "badness" quantile), a property the
   /// tests check — it is what makes copula correlation meaningful.
+  /// DfaEngine::run calls it from several threads at once for different
+  /// trials, so it must be thread-safe and depend only on (u, trial): no
+  /// mutable or cached state.
   virtual Money loss(double u, TrialId trial) const = 0;
 
   virtual const std::string& name() const = 0;

@@ -24,24 +24,18 @@ double rate_on_line(Money premium, Money occ_limit) {
 }
 
 LossStatistics summarise_losses(std::span<const Money> trial_losses) {
-  std::vector<double> tail(trial_losses.begin(), trial_losses.end());
-  sort_upper_tail(tail, 0.99);
-  return summarise_losses(trial_losses, tail);
-}
-
-LossStatistics summarise_losses(std::span<const Money> trial_losses,
-                                std::span<const double> tail_ordered) {
   RISKAN_REQUIRE(!trial_losses.empty(), "cannot summarise an empty loss sample");
-  RISKAN_REQUIRE(tail_ordered.size() == trial_losses.size(),
-                 "tail-ordered copy must match the loss sample");
   OnlineStats stats;
   for (const Money loss : trial_losses) {
     stats.add(loss);
   }
+  std::vector<double> tail(trial_losses.begin(), trial_losses.end());
+  sort_upper_tail(tail, 0.99);
   LossStatistics out;
   out.expected_loss = stats.mean();
   out.loss_stdev = std::sqrt(stats.sample_variance());
-  out.tvar_99 = tail_mean_above(tail_ordered, 0.99);
+  out.tvar_99 = tail_mean_above(tail, 0.99);
+  out.pml_250 = quantile_sorted(tail, 1.0 - 1.0 / 250.0);
   return out;
 }
 

@@ -19,6 +19,7 @@ struct LossStatistics {
   Money expected_loss = 0.0;
   Money loss_stdev = 0.0;
   Money tvar_99 = 0.0;  ///< tail value at risk at the 99th percentile
+  Money pml_250 = 0.0;  ///< 1-in-250 probable maximum loss (99.6% quantile)
 };
 
 /// Pricing loadings.
@@ -37,13 +38,9 @@ Money technical_premium(const LossStatistics& stats, const PricingTerms& terms);
 /// catastrophe capacity.
 double rate_on_line(Money premium, Money occ_limit);
 
-/// Computes LossStatistics from a simulated per-trial loss sample.
+/// Computes LossStatistics from a simulated per-trial loss sample. Both tail
+/// reads come off one partial order of a copy (sort_upper_tail at 0.99), and
+/// match a full sort bit for bit.
 LossStatistics summarise_losses(std::span<const Money> trial_losses);
-
-/// As above, for a caller that already holds `tail_ordered`: a copy of
-/// `trial_losses` ordered by sort_upper_tail (util/stats.hpp) at level 0.99
-/// or below, so one partial order can serve further tail reads.
-LossStatistics summarise_losses(std::span<const Money> trial_losses,
-                                std::span<const double> tail_ordered);
 
 }  // namespace riskan::finance

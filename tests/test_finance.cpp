@@ -215,6 +215,7 @@ TEST(Premium, SummariseLosses) {
   const auto stats = summarise_losses(losses);
   EXPECT_NEAR(stats.expected_loss, 499.5, 1e-9);
   EXPECT_GT(stats.tvar_99, 989.0);  // mean of the top ~1%
+  EXPECT_NEAR(stats.pml_250, 0.996 * 999.0, 1e-9);  // type-7 99.6% quantile
   EXPECT_GT(stats.loss_stdev, 0.0);
   EXPECT_THROW(summarise_losses({}), ContractViolation);
 }
