@@ -9,9 +9,8 @@
 // (per-contract YLTs and OEP kept, the examples/portfolio_analysis
 // configuration; secondary uncertainty off isolates the streaming path —
 // with it on, beta sampling dominates) and records the batched wall-clock
-// per book size, plus the DeviceSim modeled time and launch count of the
-// 16-contract book. Threaded outputs are verified bit-identical to
-// Sequential before timing is reported.
+// per book size. Threaded outputs are verified bit-identical to Sequential
+// before timing is reported.
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -104,20 +103,6 @@ int main() {
     table.add_row({std::to_string(contracts), std::to_string(w.portfolio.layer_count()),
                    format_seconds(batched_s), format_rate(occ_per_s)});
     json.set("contracts_" + std::to_string(contracts) + "_batched_seconds", batched_s);
-
-    if (contracts == 16) {
-      // DeviceSim on the headline book: one launch sequence for the whole
-      // book, with the modeled device time as the scale-free metric.
-      core::EngineConfig dev = config;
-      dev.backend = core::Backend::DeviceSim;
-      core::DeviceRunInfo info;
-      dev.device_info = &info;
-      (void)core::run_aggregate_analysis(w.portfolio, w.yelt, dev);
-      std::cout << "\nDeviceSim (16 contracts): " << info.launches << " launches / "
-                << format_seconds(info.modeled_seconds) << " modeled\n\n";
-      json.set("device_batched_modeled_seconds", info.modeled_seconds);
-      json.set("device_batched_launches", static_cast<std::uint64_t>(info.launches));
-    }
   }
   bench::emit("e10_portfolio_batch", table);
 

@@ -4,17 +4,17 @@
 // use of many-core GPUs for simulating portfolio analysis [7] which are 15x
 // times faster than the sequential counterpart."
 //
-// We run the identical aggregate analysis on the three backends:
-//   sequential   — the baseline of the paper's 15x;
-//   threaded     — host shared-memory parallelism (measured);
-//   device-sim   — the GPU execution model; results are bit-identical and
-//                  metered, and the calibrated Fermi-class performance
-//                  model converts the counters into a modeled device time.
-// Honesty note: this container has no GPU and may have a single core, so
-// the *measured* columns show what this host can do, while the *modeled*
-// column shows what the counted work maps to on the paper's hardware
-// class. EXPERIMENTS.md discusses both.
+// We run the identical aggregate analysis on both backends and measure:
+//   sequential — the baseline of the paper's 15x;
+//   threaded   — host shared-memory parallelism on the shared pool.
+// The paper's figure is a GPU result; riskan has no GPU backend and no
+// model stands in for one. The verdict is the measured
+// threaded speedup, read against the hardware thread count recorded next
+// to it (docs/benchmarks.md keeps the retired device model's numbers as a
+// labelled historical result).
+#include <algorithm>
 #include <iostream>
+#include <thread>
 
 #include "bench/common.hpp"
 #include "core/aggregate_engine.hpp"
@@ -43,16 +43,9 @@ int main() {
   config.backend = core::Backend::Threaded;
   const auto thr = core::run_aggregate_analysis(workload.portfolio, workload.yelt, config);
 
-  config.backend = core::Backend::DeviceSim;
-  core::DeviceRunInfo device_info;
-  config.device_info = &device_info;
-  const auto dev = core::run_aggregate_analysis(workload.portfolio, workload.yelt, config);
-  config.device_info = nullptr;
-
   // Sanity: identical results across backends.
   for (TrialId t = 0; t < trials; ++t) {
-    if (seq.portfolio_ylt[t] != thr.portfolio_ylt[t] ||
-        seq.portfolio_ylt[t] != dev.portfolio_ylt[t]) {
+    if (seq.portfolio_ylt[t] != thr.portfolio_ylt[t]) {
       std::cerr << "BACKEND MISMATCH at trial " << t << " — results are not comparable\n";
       return 1;
     }
@@ -61,42 +54,22 @@ int main() {
   const double occ_per_s_seq =
       static_cast<double>(seq.occurrences_processed) / seq.seconds;
 
-  ReportTable table({"backend", "time", "occurrences/s", "speedup vs sequential",
-                     "basis"});
+  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
+  const double thr_speedup = seq.seconds / thr.seconds;
+
+  ReportTable table({"backend", "time", "occurrences/s", "speedup vs sequential"});
   table.add_row({"sequential (1 core)", format_seconds(seq.seconds),
-                 format_rate(occ_per_s_seq), "1.00x", "measured"});
+                 format_rate(occ_per_s_seq), "1.00x"});
   table.add_row({"threaded (shared memory)", format_seconds(thr.seconds),
                  format_rate(static_cast<double>(thr.occurrences_processed) / thr.seconds),
-                 format_fixed(seq.seconds / thr.seconds, 2) + "x", "measured"});
-  table.add_row({"device-sim (host exec)", format_seconds(dev.seconds),
-                 format_rate(static_cast<double>(dev.occurrences_processed) / dev.seconds),
-                 format_fixed(seq.seconds / dev.seconds, 2) + "x", "measured"});
-  table.add_row({"device model (Fermi-class)", format_seconds(device_info.modeled_seconds),
-                 format_rate(static_cast<double>(dev.occurrences_processed) /
-                             device_info.modeled_seconds),
-                 format_fixed(seq.seconds / device_info.modeled_seconds, 2) + "x",
-                 "modeled from metered kernel traffic"});
+                 format_fixed(thr_speedup, 2) + "x"});
   bench::emit("e2_speedup", table);
 
-  std::cout << "\ndevice kernel accounting: " << device_info.launches << " launches, "
-            << device_info.elt_chunks << " ELT constant-memory chunks, "
-            << device_info.shared_staged_blocks << " blocks staged in shared memory, "
-            << device_info.shared_spill_blocks << " spilled to global\n"
-            << "traffic: global "
-            << format_bytes(static_cast<double>(device_info.counters.global_read_bytes +
-                                                device_info.counters.global_write_bytes))
-            << ", shared "
-            << format_bytes(static_cast<double>(device_info.counters.shared_read_bytes +
-                                                device_info.counters.shared_write_bytes))
-            << ", constant "
-            << format_bytes(static_cast<double>(device_info.counters.const_read_bytes))
-            << ", " << format_count(static_cast<double>(device_info.counters.flops))
-            << " FLOPs\n";
-
-  std::cout << "\n[E2 verdict] paper reports 15x GPU vs sequential; the modeled "
-               "many-core speedup above is the reproduction of that shape "
-               "(exact factor depends on host CPU vs 2012 baseline). Backends "
-               "agree bit-exactly, so the comparison is apples to apples.\n";
+  std::cout << "\n[E2 verdict] measured threaded speedup "
+            << format_fixed(thr_speedup, 2) << "x over sequential on " << hw_threads
+            << " hardware thread(s); backends agree bit-exactly, so the comparison is "
+               "apples to apples. The paper's 15x is a many-core GPU figure; riskan has "
+               "no GPU backend, so that figure is cited, not reproduced.\n";
 
   // ---- Resolver: cold vs warm cache on a multi-layer threaded workload.
   // Secondary uncertainty off isolates the lookup path (with it on, beta
@@ -157,10 +130,8 @@ int main() {
   json.set("yelt_entries", workload.yelt.entries());
   json.set("seq_seconds", seq.seconds);
   json.set("thr_seconds", thr.seconds);
-  json.set("device_host_seconds", dev.seconds);
-  json.set("device_modeled_seconds", device_info.modeled_seconds);
-  json.set("thr_speedup_vs_seq", seq.seconds / thr.seconds);
-  json.set("modeled_speedup_vs_seq", seq.seconds / device_info.modeled_seconds);
+  json.set("thr_speedup_vs_seq", thr_speedup);
+  json.set("hardware_threads", static_cast<std::uint64_t>(hw_threads));
   json.set("ablation_trials", static_cast<std::uint64_t>(ab_trials));
   json.set("ablation_layers", static_cast<std::uint64_t>(ab.portfolio.layer_count()));
   json.set("resolver_cold_seconds", cold.seconds);

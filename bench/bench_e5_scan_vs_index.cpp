@@ -112,8 +112,8 @@ int main() {
                "argument, measured. The binary-search variant trades that "
                "speed for catalogue-independent memory (its 10 dependent "
                "branches per probe cost as much as the hash), which is why "
-               "the device engine stages ELT chunks in constant memory "
-               "instead. All four paths return identical answers (verified in "
+               "the engine pre-joins each ELT to the YELT once instead. "
+               "All four paths return identical answers (verified in "
                "tests/test_data_access.cpp).\n";
   return 0;
 }

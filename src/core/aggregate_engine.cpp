@@ -17,17 +17,14 @@ const char* to_string(Backend backend) noexcept {
   switch (backend) {
     case Backend::Sequential: return "sequential";
     case Backend::Threaded: return "threaded";
-    case Backend::DeviceSim: return "device-sim";
   }
   return "unknown";
 }
 
 namespace {
 
-/// Bounds beyond which a knob is a bug, not a tuning choice.
-constexpr int kMaxDeviceBlockDim = 1 << 20;
+/// Bound beyond which trial_grain is a bug, not a tuning choice.
 constexpr std::size_t kMaxTrialGrain = std::size_t{1} << 30;
-constexpr std::size_t kMaxDeviceEltChunkRows = std::size_t{1} << 30;
 
 }  // namespace
 
@@ -41,17 +38,6 @@ void validate_engine_config(const EngineConfig& config) {
   }
   RISKAN_REQUIRE(config.trial_grain <= kMaxTrialGrain,
                  "trial_grain is absurdly large (max 2^30 trials per chunk)");
-  RISKAN_REQUIRE(config.device_block_dim > 0, "device block dim must be positive");
-  RISKAN_REQUIRE(config.device_block_dim <= kMaxDeviceBlockDim,
-                 "device block dim is absurdly large (max 2^20 trials per block)");
-  RISKAN_REQUIRE(config.device_elt_chunk_rows <= kMaxDeviceEltChunkRows,
-                 "device_elt_chunk_rows is absurdly large (max 2^30 rows per chunk)");
-  if (config.backend == Backend::DeviceSim) {
-    RISKAN_REQUIRE(config.device_spec.const_mem_bytes > 0,
-                   "DeviceSim needs a constant-memory segment");
-    RISKAN_REQUIRE(config.device_spec.shared_mem_per_block > 0,
-                   "DeviceSim needs a shared-memory arena");
-  }
 }
 
 data::ResolverCache& resolver_cache_for(const EngineConfig& config,
@@ -137,14 +123,10 @@ std::vector<Money> run_layer(const finance::Contract& contract, const finance::L
   slot.reinstatement_prem = reinstatement_prem;
 
   const auto plan = exec::ExecutionPlan::lower({&slot, 1}, yelt.offsets(), trials, config);
-  exec::make_executor(config)->execute(plan, Philox4x32(config.seed));
+  exec::execute(plan, Philox4x32(config.seed), config);
 
-  const double seconds = timer.stop();
+  timer.stop();
   (void)obs_scope.finish();
-  // Accumulated under DeviceSim only, like the engine run's host time.
-  if (config.backend == Backend::DeviceSim && config.device_info != nullptr) {
-    config.device_info->host_seconds += seconds;
-  }
   return losses;
 }
 

@@ -22,15 +22,12 @@
 // Every entry point — this front end, the multi-book runner, the scenario
 // sweep, MapReduce map tasks, dist workers and the pricer's run_layer —
 // lowers its request into batch slots via an exec::ExecutionPlan
-// (src/core/exec.hpp) and dispatches it on a pluggable executor:
+// (src/core/exec.hpp) and runs it with exec::execute on one of two host
+// backends:
 //   Sequential — single thread, pool-free; the baseline of the paper's
 //                "15x" claim (MapReduce map tasks rely on the pool-free
 //                contract).
 //   Threaded   — parallel trial chunks on the shared-memory pool.
-//   DeviceSim  — the GPU execution model: the same kernel runs inside
-//                simulated device blocks with slot columns staged to
-//                shared memory and ELT tables resident in constant memory,
-//                residency chosen by the plan.
 // Threading and ISA are independent: Sequential and Threaded both run the
 // vectorized kernel (src/core/batch_simd.hpp) on the runtime-dispatched
 // ISA (core/simd.hpp) and fall back to the scalar kernel where none is
@@ -51,7 +48,6 @@
 #include "data/ylt.hpp"
 #include "finance/contract.hpp"
 #include "obs/obs.hpp"
-#include "parallel/device.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace riskan::data {
@@ -64,18 +60,13 @@ namespace riskan::core {
 enum class Backend {
   Sequential,
   Threaded,
-  DeviceSim,
 };
 
 const char* to_string(Backend backend) noexcept;
 
 /// Every backend, in to_string order — the shared iteration helper for
 /// equivalence-matrix tests and benches (no per-file backend lists).
-inline constexpr Backend kAllBackends[] = {Backend::Sequential, Backend::Threaded,
-                                           Backend::DeviceSim};
-/// The host backends (everything but the simulated device), for matrices
-/// that sweep `trial_grain` or other host-only knobs.
-inline constexpr Backend kHostBackends[] = {Backend::Sequential, Backend::Threaded};
+inline constexpr Backend kAllBackends[] = {Backend::Sequential, Backend::Threaded};
 
 /// Backends bound to the caller's thread (never the pool): resolution
 /// builds and block decodes under them must run inline, both for the
@@ -85,24 +76,6 @@ inline constexpr Backend kHostBackends[] = {Backend::Sequential, Backend::Thread
 constexpr bool pool_free(Backend backend) noexcept {
   return backend == Backend::Sequential;
 }
-
-/// Per-run telemetry of the DeviceSim executor, for the E2/E4 reports:
-/// metered traffic per access class plus the calibrated performance-model
-/// time (see src/parallel/device.hpp).
-struct DeviceRunInfo {
-  double modeled_seconds = 0.0;  ///< performance-model device time
-  double host_seconds = 0.0;     ///< wall-clock of the simulation on this host
-  DeviceCounters counters;
-  /// Kernel launches. One per residency chunk, so this currently equals
-  /// elt_chunks; both are kept because the launch structure (e.g. a
-  /// future multi-kernel pipeline) and the residency plan are distinct
-  /// concepts that happen to coincide today.
-  int launches = 0;
-  /// Constant-memory residency chunks the plan scheduled (one launch each).
-  std::size_t elt_chunks = 0;
-  std::size_t shared_staged_blocks = 0;
-  std::size_t shared_spill_blocks = 0;
-};
 
 struct EngineConfig {
   Backend backend = Backend::Threaded;
@@ -127,19 +100,6 @@ struct EngineConfig {
   /// processed separately (MapReduce splits) reproduces the exact losses of
   /// a monolithic run.
   TrialId trial_base = 0;
-  /// Trials per device block (DeviceSim); one thread per trial.
-  int device_block_dim = 128;
-  /// Cap on ELT rows staged into constant memory per gather source
-  /// (DeviceSim); 0 = stage as much as the constant segment fits. Smaller
-  /// caps pack more contracts' tables into one residency chunk (fewer
-  /// launches, more global-memory gather traffic); larger caps give each
-  /// table fuller residency at the cost of more launches.
-  std::size_t device_elt_chunk_rows = 0;
-  /// Hardware model for the DeviceSim executor's performance accounting.
-  DeviceSpec device_spec{};
-  /// When non-null and backend == DeviceSim, receives the run's accumulated
-  /// device telemetry (counters, launches, modeled time).
-  DeviceRunInfo* device_info = nullptr;
   /// Cache of compact resolutions shared across runs; nullptr = the
   /// process-wide data::ResolverCache::shared().
   data::ResolverCache* resolver_cache = nullptr;
@@ -161,9 +121,8 @@ struct EngineConfig {
 
 /// Validates the cross-field sanity of `config` up front with
 /// ContractViolation errors instead of silent misbehavior downstream:
-/// positive, bounded device_block_dim; bounded trial_grain and
-/// device_elt_chunk_rows. Every engine entry point calls this before
-/// planning.
+/// bounded trial_grain, valid obs and adaptive settings. Every engine
+/// entry point calls this before planning.
 void validate_engine_config(const EngineConfig& config);
 
 /// Result of one aggregate-analysis run.

@@ -48,7 +48,7 @@
 namespace riskan::core::batch {
 
 /// Lane-utilization telemetry of simd kernel invocations, published by the
-/// host executor as exec.simd.* counters.
+/// exec::execute as exec.simd.* counters.
 struct SimdStats {
   std::uint64_t vector_occurrences = 0;  ///< processed in full W-wide chunks
   std::uint64_t tail_occurrences = 0;    ///< scalar sub-width remainders

@@ -1,49 +1,32 @@
-// Execution plans and pluggable executors — how every stage-2 request
+// Execution plans and the one execute function — how every stage-2 request
 // reaches the one trial kernel.
 //
 // The repo's aggregate-analysis entry points (engine run, multi-book
 // runner, scenario sweep, MapReduce map task, pricer run_layer) all
 // reduce to the same question: given a finished list of batch::Slots over
-// one YELT, run core::batch::process_trials over [0, trials) on some
-// hardware. This layer separates the two halves:
+// one YELT, run core::batch::process_trials over [0, trials). This layer
+// separates the two halves:
 //
 //   ExecutionPlan — the lowered form of a request: the slot list, its
-//       shared-gather groups, scratch sizing, the trial partition inputs,
-//       and — for the device — the distinct gather sources and the
-//       constant-memory residency chunks (which tables are staged
-//       together, deciding the launch structure). Lowering is
-//       backend-independent except for that residency planning.
+//       shared-gather groups, scratch sizing and the trial partition
+//       inputs. Lowering is backend-independent.
 //
-//   Executor — where the plan runs:
-//       HostExecutor — serves Sequential and Threaded, which differ only
-//           in scheduling: Sequential runs the whole range inline on the
-//           caller's thread and never touches a pool (MapReduce map tasks
-//           run from pool workers and rely on this); Threaded runs
-//           parallel_for over trial chunks (EngineConfig::trial_grain is
-//           the chunk knob). Either way each range runs the vectorized
-//           kernel (core/batch_simd.hpp) on the runtime-dispatched ISA
-//           (core/simd.hpp), or the scalar batch::process_trials when no
-//           wide ISA is available or RISKAN_SIMD=off.
-//       DeviceSimExecutor — one kernel launch per residency chunk on the
-//           simulated many-core device (src/parallel/device.hpp): grid of
-//           device_block_dim-trial blocks, each block staging its slot
-//           column slices into the 48 KiB shared-memory arena when they
-//           fit and running process_trials over its trial range against
-//           constant-memory-resident ELT tables. Every slot gathers through
-//           hit-compacted CSR columns, so a block stages 8 bytes per hit. Traffic is metered per
-//           access class and fed to the calibrated performance model
-//           (DeviceRunInfo). Because residency is per *source* rather
-//           than per layer, batched books and scenario sweeps ride the
-//           device like any other plan — the old "one layer's ELT chunk
-//           at a time" constraint is gone.
+//   execute — runs a plan for Sequential or Threaded, which differ only
+//       in scheduling: Sequential runs the whole range inline on the
+//       caller's thread and never touches a pool (MapReduce map tasks run
+//       from pool workers and rely on this); Threaded runs parallel_for
+//       over trial chunks (EngineConfig::trial_grain is the chunk knob).
+//       Either way each range runs the vectorized kernel
+//       (core/batch_simd.hpp) on the runtime-dispatched ISA
+//       (core/simd.hpp), or the scalar batch::process_trials when no wide
+//       ISA is available or RISKAN_SIMD=off.
 //
-// Executors change scheduling and staging only — never values. A plan's
-// outputs are bit-identical across executors (the engine's determinism
+// Scheduling changes only where ranges run — never values. A plan's
+// outputs are bit-identical across backends (the engine's determinism
 // contract; tests enforce).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -54,9 +37,9 @@
 
 namespace riskan::core::exec {
 
-/// The lowered, executor-ready form of one stage-2 request. Holds views
+/// The lowered form of one stage-2 request, ready for execute. Holds views
 /// into caller-owned slot storage and output buffers; the plan itself owns
-/// only the derived structures (groups, sources, residency chunks).
+/// only the derived structures (groups and their gather tables).
 struct ExecutionPlan {
   std::span<const batch::Slot> slots;
   std::span<const std::uint64_t> yelt_offsets;
@@ -68,68 +51,29 @@ struct ExecutionPlan {
   std::vector<batch::Group> groups;
   /// Slots in the largest group — per-chunk annual-scratch sizing.
   std::size_t max_group_size = 0;
-
-  /// One distinct gather source per ELT-backed column set, in first-use
-  /// group order — the unit of device staging.
-  struct Source {
-    const data::EventLossTable* elt = nullptr;
-    const std::uint64_t* hit_offsets = nullptr;
-    const std::uint32_t* seqs = nullptr;
-    const std::uint32_t* rows = nullptr;
-  };
-  std::vector<Source> sources;
-  /// Group index → index into `sources`.
-  std::vector<std::uint32_t> group_source;
-
-  /// DeviceSim lowering: a contiguous group range whose sources' packed
-  /// ELT tables share one constant-memory upload (one launch per chunk;
-  /// chunks execute in slot order, so per-cell accumulation order — and
-  /// with it bit-identity — is preserved). `staged_rows[s]` is how many of
-  /// source s's leading ELT rows are constant-resident in this chunk
-  /// (possibly 0 = fully global); rows beyond it gather from global
-  /// memory.
-  struct DeviceChunk {
-    std::uint32_t group_begin = 0;
-    std::uint32_t group_end = 0;
-    /// Parallel to the chunk's source set: (source index, resident rows).
-    std::vector<std::pair<std::uint32_t, std::size_t>> staged_rows;
-  };
-  std::vector<DeviceChunk> device_chunks;
+  /// Group index → the ELT its slots gather from.
+  std::vector<const data::EventLossTable*> group_elts;
 
   /// Lowers a finished slot list: validates each slot's gather and
-  /// sampling inputs, groups slots, sizes scratch and — when
-  /// config.backend is DeviceSim — plans constant-memory residency chunks.
+  /// sampling inputs, groups slots and sizes scratch.
   static ExecutionPlan lower(std::span<const batch::Slot> slots,
                              std::span<const std::uint64_t> yelt_offsets, TrialId trials,
                              const EngineConfig& config);
 
   /// Re-binds a lowered plan to a new trial block of the *same* request:
   /// the slot list must keep the length, grouping structure and ELT
-  /// tables it was lowered with — only the gather/output pointers,
-  /// the trial range and the sampling stream base change. Groups, scratch
-  /// sizing and the device residency plan are structural, so they carry
-  /// over; gather sources are re-pointed at the block's columns. This is
-  /// what makes out-of-core execution "lower once, re-bind per block"
-  /// instead of re-planning per block.
+  /// tables it was lowered with — only the gather/output pointers, the
+  /// trial range and the sampling stream base change. Groups and scratch
+  /// sizing are structural, so they carry over. This is what makes
+  /// out-of-core execution "lower once, re-bind per block" instead of
+  /// re-planning per block.
   void rebind(std::span<const batch::Slot> new_slots,
               std::span<const std::uint64_t> new_yelt_offsets, TrialId new_trials,
               TrialId new_trial_base);
 };
 
-/// Where a plan runs. Executors are cheap to construct per engine run and
-/// reusable across the run's plans (the device executor accumulates
-/// telemetry across launches, like a real device context).
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  /// Runs the plan's full trial range through batch::process_trials.
-  virtual void execute(const ExecutionPlan& plan, const Philox4x32& philox) = 0;
-};
-
-/// Executor for config.backend, wired with the config's pool / grain /
-/// device parameters (device telemetry lands in *config.device_info when
-/// set).
-std::unique_ptr<Executor> make_executor(const EngineConfig& config);
+/// Runs the plan's full trial range through the trial kernel, inline
+/// (Sequential) or over the config's pool and trial_grain (Threaded).
+void execute(const ExecutionPlan& plan, const Philox4x32& philox, const EngineConfig& config);
 
 }  // namespace riskan::core::exec

@@ -422,7 +422,6 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
   }
 
   const Philox4x32 philox(config.seed);
-  const auto executor = exec::make_executor(config);
   exec::ExecutionPlan plan;
   bool lowered = false;
   std::vector<batch::Slot> slots;
@@ -489,10 +488,9 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
     // every slot of every analysis in the group. Base slots are one
     // (contract, layer) each, so every gather group is a singleton here;
     // the scenario engine is the multi-slot-group consumer of the same
-    // kernel. The plan / executor layer (src/core/exec.hpp) owns the
+    // kernel. The plan / execute layer (src/core/exec.hpp) owns the
     // partitioning — Sequential runs inline, Threaded chunks trials on the
-    // pool, DeviceSim launches simulated blocks with plan-decided
-    // constant-memory residency (one launch sequence per trial block).
+    // pool.
     if (!lowered) {
       EngineConfig lower_config = config;
       lower_config.trial_base = base;
@@ -501,7 +499,7 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
     } else {
       plan.rebind(slots, yelt_offsets, block_trials, base);
     }
-    executor->execute(plan, philox);
+    exec::execute(plan, philox, config);
 
     for (AnalysisRun& run : group) {
       if (config.compute_oep) {
@@ -520,12 +518,6 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
   const double seconds = timer.stop();
   for (AnalysisRun& run : group) {
     run.result.seconds = seconds;
-  }
-  // Accumulated (not assigned) and under DeviceSim only: a multi-YELT
-  // runner calls run_group once per group and the other DeviceRunInfo
-  // fields accumulate too, so the host/modeled scopes stay matched.
-  if (config.backend == Backend::DeviceSim && config.device_info != nullptr) {
-    config.device_info->host_seconds += seconds;
   }
 }
 

@@ -5,10 +5,10 @@
 // This file holds the repo's ONE stage-2 trial loop. Every entry point
 // (run_aggregate_analysis, the multi-book runner, the scenario sweep,
 // MapReduce map tasks, dist workers, the pricer's run_layer) lowers to a
-// list of Slots, is shaped into an exec::ExecutionPlan, and is dispatched
-// onto this kernel (or its vectorized twin, core/batch_simd.hpp) by an
-// exec::Executor (Sequential / Threaded / DeviceSim) — see
-// src/core/exec.hpp for the plan/executor layer.
+// list of Slots, is shaped into an exec::ExecutionPlan, and is run on
+// this kernel (or its vectorized twin, core/batch_simd.hpp) by
+// exec::execute (Sequential / Threaded) — see src/core/exec.hpp for the
+// plan/execute layer.
 //
 // A Slot is one consumer of the streamed pass — a (contract, layer) — and
 // gathers through its contract's hit-compacted CSR columns
@@ -70,8 +70,8 @@ inline constexpr std::uint32_t kMaskedOut = ~std::uint32_t{0};
 struct Slot {
   // Gather inputs — shared by every slot of a gather group. The hit
   // columns may be null only when the hit span is empty. `elt` is always
-  // required (the DeviceSim executor sizes constant-memory residency from
-  // it).
+  // required (it identifies the gather group, and a plan re-bound to a new
+  // trial block checks each group still gathers from the same table).
   const std::uint64_t* hit_offsets = nullptr;  // compact CSR index, by trial
   const std::uint32_t* seqs = nullptr;         // in-trial occurrence sequence
   const std::uint32_t* rows = nullptr;         // ELT rows, parallel to seqs

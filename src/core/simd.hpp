@@ -6,7 +6,7 @@
 // -DRISKAN_ENABLE_SIMD=OFF builds the portable scalar-only library. At run
 // time simd_dispatch() picks the widest compiled ISA the host actually
 // supports — AVX2 via cpuid, NEON unconditionally on aarch64 — and hands
-// back the kernel pointer the Sequential and Threaded executors run; with
+// back the kernel pointer the Sequential and Threaded backends run; with
 // no usable ISA they run the scalar kernel, bit for bit the same.
 //
 // Environment override (documented with RISKAN_OBS / RISKAN_TRACE in
@@ -45,10 +45,10 @@ struct SimdDispatch {
 
 /// Resolves the dispatch from the compiled kernels, the host CPU and the
 /// RISKAN_SIMD override. Cheap (a getenv and, on x86, a cached cpuid);
-/// called per executor construction and per config validation.
+/// called once per plan execution.
 SimdDispatch simd_dispatch();
 
-/// True when the Sequential and Threaded executors run the vector kernel.
+/// True when the Sequential and Threaded backends run the vector kernel.
 inline bool simd_available() { return simd_dispatch().width > 0; }
 
 }  // namespace riskan::core::exec

@@ -1,6 +1,7 @@
 #include "data/elt.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/require.hpp"
 
@@ -20,6 +21,9 @@ EventLossTable EventLossTable::from_rows(std::vector<EltRow> rows) {
   table.sigma_.reserve(rows.size());
   table.exposure_.reserve(rows.size());
   for (const auto& row : rows) {
+    RISKAN_REQUIRE(std::isfinite(row.mean_loss) && std::isfinite(row.sigma_loss) &&
+                       std::isfinite(row.exposure),
+                   "ELT mean, sigma and exposure must be finite");
     RISKAN_REQUIRE(row.mean_loss >= 0.0, "ELT mean loss must be non-negative");
     RISKAN_REQUIRE(row.sigma_loss >= 0.0, "ELT sigma must be non-negative");
     RISKAN_REQUIRE(row.exposure >= row.mean_loss,

@@ -8,11 +8,10 @@
 // Layout is struct-of-arrays sorted by event id: the aggregate engines
 // pre-join it to the YELT once per contract (data::ResolvedYelt — the
 // sorted order makes the pre-join a cheap streamed binary-search pass, and
-// the trial kernels then gather rows by direct index), the device engine
-// uploads the arrays to simulated constant memory, and the scan kernels
-// stream it — all want columnar contiguity, which is exactly the "small
-// number of very large tables ... streamed by independent processes"
-// organisation the paper prescribes for stage 1 outputs. find() remains
+// the trial kernels then gather rows by direct index) and the scan
+// kernels stream it — both want columnar contiguity, which is exactly the
+// "small number of very large tables ... streamed by independent
+// processes" organisation the paper prescribes for stage 1 outputs. find() remains
 // the reference per-occurrence lookup for the resolver-off path.
 #pragma once
 
@@ -41,7 +40,8 @@ class EventLossTable {
  public:
   EventLossTable() = default;
 
-  /// Builds from rows; sorts by event id and rejects duplicates.
+  /// Builds from rows; sorts by event id and rejects duplicates and
+  /// non-finite, negative or inconsistent values.
   static EventLossTable from_rows(std::vector<EltRow> rows);
 
   std::size_t size() const noexcept { return event_ids_.size(); }
@@ -76,8 +76,8 @@ class EventLossTable {
   /// given one occurrence of every catalogue event — used by sanity tests).
   Money total_mean_loss() const noexcept;
 
-  /// Bytes occupied by the columns (capacity excluded); feeds the E1/E4
-  /// accounting and the device-engine chunk planner.
+  /// Bytes occupied by the columns (capacity excluded); feeds the E1
+  /// accounting.
   std::size_t byte_size() const noexcept;
 
  private:

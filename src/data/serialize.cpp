@@ -43,6 +43,11 @@ void encode(const EventLossTable& table, ByteWriter& writer) {
 EventLossTable decode_elt(ByteReader& reader) {
   check_header(reader, kEltMagic, "ELT");
   const auto n = reader.u64();
+  // Each row costs a 4-byte event id plus three 8-byte values; dividing the
+  // payload keeps a hostile count from overflowing the check.
+  constexpr std::size_t kRowBytes = sizeof(EventId) + 3 * sizeof(double);
+  RISKAN_REQUIRE(n <= reader.remaining() / kRowBytes,
+                 "encoded ELT declares more rows than its payload holds");
   std::vector<EltRow> rows(n);
   for (auto& row : rows) {
     row.event_id = reader.u32();
@@ -173,6 +178,8 @@ YearLossTable decode_ylt(ByteReader& reader) {
   check_header(reader, kYltMagic, "YLT");
   auto label = reader.str();
   const auto trials = reader.u64();
+  RISKAN_REQUIRE(trials <= reader.remaining() / sizeof(Money),
+                 "encoded YLT declares more trials than its payload holds");
   std::vector<Money> losses(trials);
   for (auto& loss : losses) {
     loss = reader.f64();

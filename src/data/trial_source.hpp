@@ -3,8 +3,8 @@
 // The paper frames stage 2 as a data-management problem: in-memory
 // analytics carry "large but not enormous datasets"; beyond that the YELT
 // lives in a chunked file space and must be *streamed*. The compute side of
-// that split is the exec layer (core/exec.hpp: one ExecutionPlan, pluggable
-// Executors); this file is its data-plane twin. A TrialSource yields the
+// that split is the exec layer (core/exec.hpp: one ExecutionPlan, one
+// execute); this file is its data-plane twin. A TrialSource yields the
 // YELT as an ordered sequence of trial blocks, and every engine entry point
 // consumes blocks instead of assuming one resident table — so in-memory,
 // out-of-core and MapReduce runs are the same code path with different

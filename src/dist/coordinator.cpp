@@ -725,7 +725,6 @@ DistResult run_distributed_aggregate(const finance::Portfolio& portfolio,
   worker_engine.pool = nullptr;
   worker_engine.compute_oep = false;
   worker_engine.keep_contract_ylts = false;
-  worker_engine.device_info = nullptr;
   worker_engine.resolver_cache = nullptr;
   worker_engine.adaptive = {};
   // Workers never open observability windows of their own: their spans ride

@@ -138,7 +138,7 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
   }
 
   // Pool-free backends stay off the pool (single-thread contract, shared
-  // with MapReduce map tasks); the executor layer owns the backend dispatch.
+  // with MapReduce map tasks); exec::execute owns the backend dispatch.
   const ParallelConfig par_cfg =
       core::pool_free(config.backend)
           ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
@@ -154,7 +154,6 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
   std::vector<core::SecondarySampler> samplers;
 
   const Philox4x32 philox(config.seed);
-  const auto executor = core::exec::make_executor(config);
   core::exec::ExecutionPlan exec_plan;
   bool lowered = false;
   std::vector<core::batch::Slot> slots;
@@ -257,10 +256,8 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
       slots.push_back(slot);
     }
 
-    // The one streamed pass serving every scenario, dispatched on the
-    // configured executor (DeviceSim sweeps run in simulated device blocks
-    // like any other plan — no CPU fallback). Lowered once, re-bound per
-    // block.
+    // The one streamed pass serving every scenario, run on the configured
+    // backend. Lowered once, re-bound per block.
     if (!lowered) {
       core::EngineConfig lower_config = config;
       lower_config.trial_base = base;
@@ -270,7 +267,7 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
     } else {
       exec_plan.rebind(slots, yelt_offsets, block_trials, base);
     }
-    (void)executor->execute(exec_plan, philox);
+    core::exec::execute(exec_plan, philox, config);
 
     // OEP finalisation and telemetry, per scenario per block.
     for (std::size_t s = 0; s < all.size(); ++s) {

@@ -19,13 +19,12 @@
 //     tables.
 //
 // Backend behaviour matches the batched engine: the sweep's slot list is
-// lowered through core::exec::ExecutionPlan and dispatched on the
-// configured executor — Sequential runs the whole sweep inline off the
-// pool; Threaded parallelises over trial chunks with the same trial_grain
-// knob; DeviceSim runs the sweep in simulated device blocks with
-// plan-decided constant-memory residency. Outputs are backend-invariant
-// (the engine's determinism contract), so the backend changes wall-clock
-// and telemetry only.
+// lowered through core::exec::ExecutionPlan and run by core::exec::execute
+// on the configured backend — Sequential runs the whole sweep inline off
+// the pool; Threaded parallelises over trial chunks with the same
+// trial_grain knob. Outputs are backend-invariant (the engine's
+// determinism contract), so the backend changes wall-clock and telemetry
+// only.
 #pragma once
 
 #include <memory>

@@ -1,8 +1,8 @@
 // Kernel modes for the equivalence matrices and the E16/E17 baselines.
 //
-// The Sequential and Threaded executors run the dispatched vector kernel
+// The Sequential and Threaded backends run the dispatched vector kernel
 // when the build and host provide one and the scalar kernel under
-// RISKAN_SIMD=off. A matrix that must cover both kernels runs each host
+// RISKAN_SIMD=off. A matrix that must cover both kernels runs each backend
 // row once per mode; on a scalar-only build both modes run the scalar
 // kernel, so the rows never skip. The SIMD benches time their scalar
 // baseline under a ScalarOff KernelScope.
@@ -80,15 +80,14 @@ struct EngineRow {
   KernelMode mode;
 };
 
-/// Every backend under the ambient kernel, plus the host backends under
-/// RISKAN_SIMD=off (DeviceSim always runs the scalar kernel).
+/// Every backend under the ambient kernel, then again under
+/// RISKAN_SIMD=off.
 inline std::vector<EngineRow> engine_rows() {
   std::vector<EngineRow> rows;
-  for (const core::Backend backend : core::kAllBackends) {
-    rows.push_back({backend, KernelMode::Dispatched});
-  }
-  for (const core::Backend backend : core::kHostBackends) {
-    rows.push_back({backend, KernelMode::ScalarOff});
+  for (const KernelMode mode : {KernelMode::Dispatched, KernelMode::ScalarOff}) {
+    for (const core::Backend backend : core::kAllBackends) {
+      rows.push_back({backend, mode});
+    }
   }
   return rows;
 }

@@ -280,15 +280,12 @@ TEST(AdaptiveStopping, ConvergesMidRunToAPrefixOfTheFixedRun) {
 TEST(AdaptiveStopping, BackendMatrixStopsBitIdentically) {
   const auto reference =
       core::run_aggregate_analysis(world().portfolio, world().yelt, adaptive_engine());
-  for (const core::Backend backend :
-       {core::Backend::Threaded, core::Backend::DeviceSim}) {
-    const auto result = core::run_aggregate_analysis(world().portfolio, world().yelt,
-                                                     adaptive_engine(backend));
-    EXPECT_EQ(result.adaptive.trials_run, reference.adaptive.trials_run);
-    EXPECT_EQ(result.adaptive.stop_reason, reference.adaptive.stop_reason);
-    expect_same_ylt(result.portfolio_ylt, reference.portfolio_ylt);
-    expect_same_ylt(result.portfolio_occurrence_ylt, reference.portfolio_occurrence_ylt);
-  }
+  const auto result = core::run_aggregate_analysis(world().portfolio, world().yelt,
+                                                   adaptive_engine(core::Backend::Threaded));
+  EXPECT_EQ(result.adaptive.trials_run, reference.adaptive.trials_run);
+  EXPECT_EQ(result.adaptive.stop_reason, reference.adaptive.stop_reason);
+  expect_same_ylt(result.portfolio_ylt, reference.portfolio_ylt);
+  expect_same_ylt(result.portfolio_occurrence_ylt, reference.portfolio_occurrence_ylt);
 }
 
 TEST(AdaptiveStopping, SourceChunkingCannotMoveTheStoppingTrial) {

@@ -99,42 +99,6 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
   }
 }
 
-TEST(PortfolioBatch, DeviceSimBatchedMatchesPerContract) {
-  // The batched plan runs natively on the simulated device: one launch
-  // sequence serves every contract, bit-identically to the naive
-  // per-contract oracle, through both entry points.
-  const auto portfolio = book(/*contracts=*/4, /*layers=*/2);
-  const auto yelt = lens(800);
-
-  EngineConfig config;
-  config.backend = Backend::DeviceSim;
-  const auto per_contract = naive_oracle(portfolio, yelt, config);
-  const auto via_engine = run_aggregate_analysis(portfolio, yelt, config);
-  const auto via_runner = run_portfolio_batch(portfolio, yelt, config);
-  expect_identical(per_contract, via_engine, "device-sim via engine");
-  expect_identical(per_contract, via_runner, "device-sim via runner");
-  EXPECT_EQ(via_engine.elt_lookups, per_contract.elt_lookups);
-}
-
-TEST(PortfolioBatch, DeviceSimBlockDimSweepIsBitIdentical) {
-  // The block partition is pure scheduling: 32/128/512-trial blocks (and
-  // the host reference) must agree to the bit on the batched plan.
-  const auto portfolio = book(/*contracts=*/5, /*layers=*/2);
-  const auto yelt = lens(1'100);
-
-  EngineConfig config;
-  config.backend = Backend::Sequential;
-  const auto reference = run_portfolio_batch(portfolio, yelt, config);
-
-  config.backend = Backend::DeviceSim;
-  for (const int block_dim : {32, 128, 512}) {
-    config.device_block_dim = block_dim;
-    const auto device = run_portfolio_batch(portfolio, yelt, config);
-    expect_identical(reference, device,
-                     "device block dim " + std::to_string(block_dim));
-  }
-}
-
 TEST(PortfolioBatch, DegenerateSingleContractBatch) {
   const auto portfolio = book(/*contracts=*/1, /*layers=*/2);
   const auto yelt = lens(1'000);

@@ -182,7 +182,7 @@ TEST(ResolverEquivalence, BitIdenticalAcrossBackendsGrainsAndSecondary) {
     EngineConfig config;
     config.secondary_uncertainty = secondary;
     const auto naive = oracle::naive_oracle(w.portfolio, w.yelt, config);
-    for (const Backend backend : kHostBackends) {
+    for (const Backend backend : kAllBackends) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
         if (backend == Backend::Sequential && grain != 0) {
           continue;  // grain only affects the threaded backend
@@ -199,19 +199,6 @@ TEST(ResolverEquivalence, BitIdenticalAcrossBackendsGrainsAndSecondary) {
       }
     }
   }
-}
-
-TEST(ResolverEquivalence, DeviceSimMatchesNaiveSequential) {
-  const auto w = equivalence_workload();
-
-  EngineConfig config;
-  const auto naive = oracle::naive_oracle(w.portfolio, w.yelt, config);
-
-  config.backend = Backend::DeviceSim;
-  config.device_elt_chunk_rows = 64;  // cap constant-memory residency per table
-  const auto device = run_aggregate_analysis(w.portfolio, w.yelt, config);
-
-  expect_identical(naive, device, "device-sim resolver vs naive oracle");
 }
 
 TEST(ResolverEquivalence, SharedCacheReusedAcrossRuns) {

@@ -3,6 +3,9 @@
 // frequency model must honour its moments.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
 #include "data/chunked_file.hpp"
@@ -41,6 +44,64 @@ TEST(Robustness, TruncatedEltThrowsAtEveryLength) {
   ByteReader reader(bytes);
   EXPECT_EQ(decode_elt(reader).size(), 3u);
 }
+
+/// `bytes` with the little-endian u64 at `offset` replaced by `value` — a
+/// header whose declared count no longer matches its payload.
+std::vector<std::byte> with_u64(std::vector<std::byte> bytes, std::size_t offset,
+                                std::uint64_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return bytes;
+}
+
+TEST(Robustness, HugeEltRowCountThrowsBeforeAllocating) {
+  const auto bytes = encoded(EventLossTable::from_rows({{1, 10.0, 1.0, 50.0}}));
+  // Magic and version precede the row count.
+  for (const std::uint64_t rows : {std::uint64_t{1} << 40, std::uint64_t{1} << 61}) {
+    const auto hostile = with_u64(bytes, 8, rows);
+    ByteReader reader(hostile);
+    EXPECT_THROW((void)decode_elt(reader), ContractViolation) << "rows " << rows;
+  }
+}
+
+TEST(Robustness, HugeYltTrialCountThrowsBeforeAllocating) {
+  const auto bytes = encoded(YearLossTable(2, "x"));
+  // The trial count is the last word before the two losses.
+  const std::size_t count_offset = bytes.size() - 3 * sizeof(std::uint64_t);
+  for (const std::uint64_t trials : {std::uint64_t{1} << 40, std::uint64_t{1} << 61}) {
+    const auto hostile = with_u64(bytes, count_offset, trials);
+    ByteReader reader(hostile);
+    EXPECT_THROW((void)decode_ylt(reader), ContractViolation) << "trials " << trials;
+  }
+}
+
+/// Checks that an infinite value in one ELT column is rejected both by
+/// from_rows and by decode_elt of an encoding carrying it. `column` is the
+/// column's index among the three f64 columns (mean, sigma, exposure).
+void expect_infinite_elt_value_rejected(std::size_t column) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EltRow row{1, 10.0, 1.0, 50.0};
+  auto bytes = encoded(EventLossTable::from_rows({row}));
+  // An infinite mean also needs an infinite exposure, or the exposure >= mean
+  // check would reject the row for another reason.
+  const std::vector<std::size_t> infinite =
+      column == 0 ? std::vector<std::size_t>{0, 2} : std::vector<std::size_t>{column};
+  double* fields[] = {&row.mean_loss, &row.sigma_loss, &row.exposure};
+  for (const std::size_t c : infinite) {
+    *fields[c] = kInf;
+    // One-row encoding: magic, version, count, a 4-byte id, then one f64
+    // per column.
+    std::memcpy(bytes.data() + 16 + sizeof(EventId) + c * sizeof(double), &kInf, sizeof(kInf));
+  }
+  EXPECT_THROW((void)EventLossTable::from_rows({row}), ContractViolation);
+  ByteReader reader(bytes);
+  EXPECT_THROW((void)decode_elt(reader), ContractViolation);
+}
+
+TEST(Robustness, InfiniteEltMeanRejected) { expect_infinite_elt_value_rejected(0); }
+
+TEST(Robustness, InfiniteEltSigmaRejected) { expect_infinite_elt_value_rejected(1); }
+
+TEST(Robustness, InfiniteEltExposureRejected) { expect_infinite_elt_value_rejected(2); }
 
 TEST(Robustness, TruncatedYeltThrows) {
   YeltGenConfig config;
@@ -182,58 +243,18 @@ ValidationWorld validation_world() {
   return ValidationWorld{finance::generate_portfolio(pg), data::generate_yelt(100, yg)};
 }
 
-TEST(EngineConfigValidation, RejectsNonPositiveDeviceBlockDim) {
-  const auto w = validation_world();
-  EngineConfig config;
-  config.backend = Backend::DeviceSim;
-  config.device_block_dim = 0;
-  EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
-               ContractViolation);
-  config.device_block_dim = -128;
-  EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
-               ContractViolation);
-}
-
 TEST(EngineConfigValidation, RejectsAbsurdChunkingKnobs) {
   const auto w = validation_world();
   EngineConfig config;
   config.trial_grain = std::size_t{1} << 40;
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);
-
-  config = EngineConfig{};
-  config.backend = Backend::DeviceSim;
-  config.device_block_dim = 1 << 24;  // 16M trials per block is a bug
-  EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
-               ContractViolation);
-
-  config = EngineConfig{};
-  config.device_elt_chunk_rows = std::size_t{1} << 40;
-  EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
-               ContractViolation);
-}
-
-TEST(EngineConfigValidation, RejectsDegenerateDeviceSpec) {
-  const auto w = validation_world();
-  EngineConfig config;
-  config.backend = Backend::DeviceSim;
-  config.device_spec.const_mem_bytes = 0;
-  EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
-               ContractViolation);
-  config = EngineConfig{};
-  config.backend = Backend::DeviceSim;
-  config.device_spec.shared_mem_per_block = 0;
-  EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
-               ContractViolation);
-  // The same spec is legal on host backends (the device model is unused).
-  config.backend = Backend::Threaded;
-  EXPECT_NO_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config));
 }
 
 TEST(EngineConfigValidation, EveryEntryPointValidates) {
   const auto w = validation_world();
   EngineConfig config;
-  config.device_block_dim = 0;  // invalid regardless of backend
+  config.trial_grain = std::size_t{1} << 40;  // invalid regardless of backend
 
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);

@@ -110,8 +110,8 @@ TEST(ScenarioSweep, IdentityBitIdenticalAcrossBackendsGrainsAndSecondary) {
                                  "/grain=" + std::to_string(grain);
         expect_identical(reference, sweep.base, what + " base");
         expect_identical(reference, sweep.scenarios[0], what + " identity");
-        // Every backend now lowers through the same plan, so the lookup
-        // telemetry agrees too (DeviceSim included — no fallback).
+        // Every backend lowers through the same plan, so the lookup
+        // telemetry agrees too.
         EXPECT_EQ(reference.elt_lookups, sweep.base.elt_lookups) << what;
         EXPECT_EQ(reference.occurrences_processed, sweep.base.occurrences_processed)
             << what;
@@ -198,36 +198,6 @@ TEST(ScenarioSweep, MaskOnRejectionHeavyBookBitIdenticalToFilteredYelt) {
     const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
     expect_identical(reference, sweep.scenarios[0],
                      "rejection-heavy mask/" + test_support::to_string(row));
-  }
-}
-
-TEST(ScenarioSweep, DeviceSimBlockDimSweepIsBitIdentical) {
-  // The sweep runs natively in simulated device blocks; the block
-  // partition (32/128/512 trials per block) is pure scheduling and must
-  // not move a bit of any scenario's outputs vs the host pass.
-  const auto portfolio = book(/*contracts=*/3, /*layers=*/2);
-  const auto yelt = lens(900);
-
-  std::vector<ScenarioSpec> specs(2);
-  specs[0].name = "surge";
-  specs[0].loss_scale = 1.3;
-  specs[1].name = "exclusion";
-  specs[1].excluded_events = busy_events();
-
-  core::EngineConfig config;
-  config.backend = core::Backend::Sequential;
-  const auto reference = run_scenario_sweep(portfolio, yelt, specs, config);
-
-  config.backend = core::Backend::DeviceSim;
-  for (const int block_dim : {32, 128, 512}) {
-    config.device_block_dim = block_dim;
-    const auto device = run_scenario_sweep(portfolio, yelt, specs, config);
-    const std::string what = "sweep block dim " + std::to_string(block_dim);
-    expect_identical(reference.base, device.base, what + " base");
-    for (std::size_t s = 0; s < reference.scenarios.size(); ++s) {
-      expect_identical(reference.scenarios[s], device.scenarios[s],
-                       what + " scenario " + std::to_string(s));
-    }
   }
 }
 
@@ -489,6 +459,18 @@ TEST(ScenarioSweep, RejectsIllFormedSpecs) {
   const std::span<const ScenarioSpec> ghost_event_span(&ghost_event, 1);
   EXPECT_THROW(run_scenario_sweep(portfolio, yelt, ghost_event_span, {}),
                ContractViolation);
+}
+
+TEST(ScenarioSpecValidation, RejectsInfiniteLossScale) {
+  ScenarioSpec spec;
+  spec.loss_scale = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spec.validate(), ContractViolation);
+}
+
+TEST(ScenarioSpecValidation, RejectsInfiniteConditioningIntensity) {
+  ScenarioSpec spec;
+  spec.conditioning = PostEventConditioning{1, std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(spec.validate(), ContractViolation);
 }
 
 TEST(MaskColumn, AdjustedSequencesMatchFilteredTable) {

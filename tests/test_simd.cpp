@@ -1,7 +1,7 @@
 // SIMD dispatch, the default vector path and the bit-identity contract.
 //
 // The vectorized kernel is pure scheduling: the Sequential and Threaded
-// executors run it whenever the host dispatches a wide ISA, and must
+// backends run it whenever the host dispatches a wide ISA, and must
 // reproduce the naive oracle to the bit across the whole feature matrix
 // (secondary sampling, OEP, grain sizes, lane tails) — and so must the
 // scalar kernel they fall back to under RISKAN_SIMD=off. Both kernel modes
@@ -305,7 +305,7 @@ TEST(SimdDefaultPath, SimdOffKeepsTheVectorCounterFlat) {
   const double before = vector_occurrences();
   {
     ScopedEnv off("RISKAN_SIMD", "off");
-    for (const Backend backend : kHostBackends) {
+    for (const Backend backend : kAllBackends) {
       EngineConfig config;
       config.backend = backend;
       (void)run_aggregate_analysis(portfolio, yelt, config);

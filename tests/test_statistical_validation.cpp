@@ -101,9 +101,9 @@ TEST_P(ChainValidation, SecondarySamplingPreservesTheMean) {
   // Both trial kernels run the same chain: the sampled result is bit for
   // bit the same under RISKAN_SIMD=off, so the statistical property
   // transfers by construction — and this asserts it really does at
-  // 30k-trial scale, on both host backends.
+  // 30k-trial scale, on both backends.
   const test_support::ScopedEnv scalar("RISKAN_SIMD", "off");
-  for (const core::Backend backend : core::kHostBackends) {
+  for (const core::Backend backend : core::kAllBackends) {
     core::EngineConfig config = on;
     config.backend = backend;
     const auto result = core::run_aggregate_analysis(chain.portfolio, yelt, config);

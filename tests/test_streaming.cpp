@@ -83,34 +83,6 @@ TEST(Streaming, ThreadedBackendInsideBlocksAgrees) {
   remove_file(path);
 }
 
-TEST(Streaming, DeviceSimBackendAgreesWithInMemory) {
-  finance::PortfolioGenConfig pg;
-  pg.contracts = 3;
-  pg.catalog_events = 100;
-  pg.elt_rows = 30;
-  const auto portfolio = finance::generate_portfolio(pg);
-  data::YeltGenConfig yg;
-  yg.trials = 400;
-  const auto yelt = data::generate_yelt(100, yg);
-  const std::string path = "/tmp/riskan_stream_device.yeltc";
-  save_yelt_chunked(yelt, path, 100);
-
-  EngineConfig config;
-  config.backend = Backend::DeviceSim;
-  const auto reference = run_aggregate_analysis(portfolio, yelt, config);
-  DeviceRunInfo info;
-  config.device_info = &info;
-  const auto streamed = run_aggregate_streaming(portfolio, path, config);
-  for (TrialId t = 0; t < yelt.trials(); ++t) {
-    ASSERT_EQ(streamed.portfolio_ylt[t], reference.portfolio_ylt[t]) << "trial " << t;
-    ASSERT_EQ(streamed.portfolio_occurrence_ylt[t], reference.portfolio_occurrence_ylt[t]);
-  }
-  // One launch sequence per trial block: the streamed run launches at
-  // least once per block.
-  EXPECT_GE(static_cast<std::size_t>(info.launches), streamed.blocks);
-  remove_file(path);
-}
-
 TEST(Streaming, MissingFileRejected) {
   finance::PortfolioGenConfig pg;
   pg.contracts = 1;

@@ -411,7 +411,7 @@ TEST(EncodeYeltSlice, ByteIdenticalToRebuiltBlock) {
 // Parameters: backend; whether the streamed run enters through
 // run_portfolio_batch over a ChunkedFileSource (true) or through
 // run_aggregate_streaming (false); secondary sampling. `mode` picks the
-// kernel the host executors run.
+// kernel both backends run.
 void check_streamed_equivalence(Backend backend, KernelMode mode, bool batch,
                                 bool secondary) {
   const KernelScope scope(mode);
@@ -455,7 +455,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(core::kAllBackends), ::testing::Bool(),
                        ::testing::Bool()));
 
-// The scalar-kernel rows of the same matrix: the host backends under
+// The scalar-kernel rows of the same matrix: both backends under
 // RISKAN_SIMD=off, so the out-of-core rebind path (plan lowered once,
 // re-bound per block) runs on both kernels.
 class ScalarKernelStreamedEquivalence
@@ -468,7 +468,7 @@ TEST_P(ScalarKernelStreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecond
 
 INSTANTIATE_TEST_SUITE_P(
     HostMatrix, ScalarKernelStreamedEquivalence,
-    ::testing::Combine(::testing::ValuesIn(core::kHostBackends), ::testing::Bool(),
+    ::testing::Combine(::testing::ValuesIn(core::kAllBackends), ::testing::Bool(),
                        ::testing::Bool()));
 
 TEST(StreamedEquivalence, TrialBaseOffsetsCompose) {
@@ -534,7 +534,7 @@ TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
 INSTANTIATE_TEST_SUITE_P(Backends, StreamedSweep,
                          ::testing::ValuesIn(core::kAllBackends));
 
-// The host backends again under RISKAN_SIMD=off (the scalar kernel).
+// Both backends again under RISKAN_SIMD=off (the scalar kernel).
 class ScalarKernelStreamedSweep : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(ScalarKernelStreamedSweep, BitIdenticalToInMemorySweep) {
@@ -542,7 +542,7 @@ TEST_P(ScalarKernelStreamedSweep, BitIdenticalToInMemorySweep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(HostBackends, ScalarKernelStreamedSweep,
-                         ::testing::ValuesIn(core::kHostBackends));
+                         ::testing::ValuesIn(core::kAllBackends));
 
 TEST(StreamedBatch, MultiBlockSourceThroughRunPortfolioBatch) {
   const auto w = make_workload(3, 250);
