@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 #include "core/aggregate_engine.hpp"
 #include "core/secondary.hpp"
@@ -344,6 +345,17 @@ TEST(SecondarySampler, DegenerateRowsAreDeterministic) {
 TEST(Backend, NamesAreStable) {
   EXPECT_STREQ(to_string(Backend::Sequential), "sequential");
   EXPECT_STREQ(to_string(Backend::Threaded), "threaded");
+}
+
+TEST(Backend, AllBackendsAreSequentialThenThreaded) {
+  ASSERT_EQ(std::size(kAllBackends), 2u);
+  EXPECT_EQ(kAllBackends[0], Backend::Sequential);
+  EXPECT_EQ(kAllBackends[1], Backend::Threaded);
+}
+
+TEST(Backend, OnlySequentialIsPoolFree) {
+  EXPECT_TRUE(pool_free(Backend::Sequential));
+  EXPECT_FALSE(pool_free(Backend::Threaded));
 }
 
 }  // namespace

@@ -77,6 +77,42 @@ TEST(ParallelFor, InvertedRangeRejected) {
   EXPECT_THROW(parallel_for(5, 4, [](std::size_t, std::size_t) {}), ContractViolation);
 }
 
+TEST(ParallelFor, GrainCoveringRangeRunsInlineOnCaller) {
+  // One chunk covers the range: the body runs once, on the calling thread.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  bool on_caller = false;
+  parallel_for(
+      10, 20,
+      [&](std::size_t lo, std::size_t hi) {
+        ++calls;
+        on_caller = std::this_thread::get_id() == caller;
+        EXPECT_EQ(lo, 10u);
+        EXPECT_EQ(hi, 20u);
+      },
+      ParallelConfig{&pool, 10});
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(on_caller);
+}
+
+TEST(ParallelFor, SingleThreadPoolRunsInline) {
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  bool on_caller = false;
+  parallel_for(
+      0, 1000,
+      [&](std::size_t lo, std::size_t hi) {
+        ++calls;
+        on_caller = std::this_thread::get_id() == caller;
+        EXPECT_EQ(hi - lo, 1000u);
+      },
+      ParallelConfig{&pool, 0});
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(on_caller);
+}
+
 TEST(ParallelFor, ChunksRespectGrain) {
   ThreadPool pool(4);
   std::mutex m;
@@ -126,6 +162,44 @@ TEST(ParallelReduce, DeterministicForFixedGrain) {
   const double a = run();
   const double b = run();
   EXPECT_EQ(a, b);  // bitwise: chunk combination order is fixed
+}
+
+TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
+  int calls = 0;
+  const double total = parallel_reduce<double>(
+      7, 7, 42.0,
+      [&](std::size_t, std::size_t) {
+        ++calls;
+        return 1.0;
+      },
+      [](double a, double b) { return a + b; });
+  EXPECT_EQ(total, 42.0);
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ParallelReduce, InvertedRangeRejected) {
+  EXPECT_THROW((void)parallel_reduce<int>(
+                   5, 4, 0, [](std::size_t, std::size_t) { return 0; },
+                   [](int a, int b) { return a + b; }),
+               ContractViolation);
+}
+
+TEST(ParallelReduce, CombinesPartialsInChunkOrder) {
+  // A non-commutative combine exposes the order: concatenating each
+  // chunk's first index must list the chunks left to right.
+  ThreadPool pool(4);
+  const auto order = parallel_reduce<std::vector<std::size_t>>(
+      0, 100, {},
+      [](std::size_t lo, std::size_t) { return std::vector<std::size_t>{lo}; },
+      [](std::vector<std::size_t> a, std::vector<std::size_t> b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+      },
+      ParallelConfig{&pool, 10});
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t c = 0; c < order.size(); ++c) {
+    EXPECT_EQ(order[c], c * 10);
+  }
 }
 
 TEST(SpscQueue, FifoOrder) {

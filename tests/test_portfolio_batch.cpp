@@ -99,6 +99,46 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
   }
 }
 
+TEST(PortfolioBatch, BothEntryPointsMatchPerContractOnEveryBackend) {
+  // The batched plan serves every contract from one pass: through the
+  // engine and through the runner, on either backend, it agrees to the bit
+  // with the naive per-contract oracle, lookup telemetry included.
+  const auto portfolio = book(/*contracts=*/4, /*layers=*/2);
+  const auto yelt = lens(800);
+
+  for (const Backend backend : kAllBackends) {
+    EngineConfig config;
+    config.backend = backend;
+    const auto per_contract = naive_oracle(portfolio, yelt, config);
+    const auto via_engine = run_aggregate_analysis(portfolio, yelt, config);
+    const auto via_runner = run_portfolio_batch(portfolio, yelt, config);
+    const std::string name = to_string(backend);
+    expect_identical(per_contract, via_engine, name + " via engine");
+    expect_identical(per_contract, via_runner, name + " via runner");
+    EXPECT_EQ(via_engine.elt_lookups, per_contract.elt_lookups) << name;
+    EXPECT_EQ(via_runner.elt_lookups, per_contract.elt_lookups) << name;
+  }
+}
+
+TEST(PortfolioBatch, ThreadedTrialGrainSweepIsBitIdentical) {
+  // The trial partition is pure scheduling: 1/32/128/512-trial chunks (and
+  // the inline Sequential reference) agree to the bit on the batched plan.
+  const auto portfolio = book(/*contracts=*/5, /*layers=*/2);
+  const auto yelt = lens(1'100);
+
+  EngineConfig config;
+  config.backend = Backend::Sequential;
+  const auto reference = run_portfolio_batch(portfolio, yelt, config);
+
+  config.backend = Backend::Threaded;
+  for (const std::size_t grain :
+       {std::size_t{1}, std::size_t{32}, std::size_t{128}, std::size_t{512}}) {
+    config.trial_grain = grain;
+    const auto threaded = run_portfolio_batch(portfolio, yelt, config);
+    expect_identical(reference, threaded, "trial grain " + std::to_string(grain));
+  }
+}
+
 TEST(PortfolioBatch, DegenerateSingleContractBatch) {
   const auto portfolio = book(/*contracts=*/1, /*layers=*/2);
   const auto yelt = lens(1'000);

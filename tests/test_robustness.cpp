@@ -103,6 +103,31 @@ TEST(Robustness, InfiniteEltSigmaRejected) { expect_infinite_elt_value_rejected(
 
 TEST(Robustness, InfiniteEltExposureRejected) { expect_infinite_elt_value_rejected(2); }
 
+TEST(Robustness, NanEltValuesRejected) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t column = 0; column < 3; ++column) {
+    EltRow row{1, 10.0, 1.0, 50.0};
+    double* fields[] = {&row.mean_loss, &row.sigma_loss, &row.exposure};
+    *fields[column] = kNan;
+    EXPECT_THROW((void)EventLossTable::from_rows({row}), ContractViolation)
+        << "column " << column;
+  }
+}
+
+TEST(Robustness, EltRowCountOnePastPayloadThrows) {
+  const auto bytes = encoded(EventLossTable::from_rows({{1, 10.0, 1.0, 50.0},
+                                                        {2, 20.0, 2.0, 80.0}}));
+  ByteReader reader(with_u64(bytes, 8, 3));
+  EXPECT_THROW((void)decode_elt(reader), ContractViolation);
+}
+
+TEST(Robustness, YltTrialCountOnePastPayloadThrows) {
+  const auto bytes = encoded(YearLossTable(2, "x"));
+  const std::size_t count_offset = bytes.size() - 3 * sizeof(std::uint64_t);
+  ByteReader reader(with_u64(bytes, count_offset, 3));
+  EXPECT_THROW((void)decode_ylt(reader), ContractViolation);
+}
+
 TEST(Robustness, TruncatedYeltThrows) {
   YeltGenConfig config;
   config.trials = 40;
@@ -249,6 +274,21 @@ TEST(EngineConfigValidation, RejectsAbsurdChunkingKnobs) {
   config.trial_grain = std::size_t{1} << 40;
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);
+}
+
+TEST(EngineConfigValidation, AcceptsTrialGrainAtTheBound) {
+  // 2^30 trials per chunk is the largest grain accepted; far above the
+  // trial count it just runs the whole range as one chunk.
+  const auto w = validation_world();
+  EngineConfig config;
+  config.backend = Backend::Threaded;
+  config.trial_grain = std::size_t{1} << 30;
+  const auto bounded = run_aggregate_analysis(w.portfolio, w.yelt, config);
+  config.trial_grain = 0;
+  const auto automatic = run_aggregate_analysis(w.portfolio, w.yelt, config);
+  for (TrialId t = 0; t < w.yelt.trials(); ++t) {
+    ASSERT_EQ(bounded.portfolio_ylt[t], automatic.portfolio_ylt[t]) << "trial " << t;
+  }
 }
 
 TEST(EngineConfigValidation, EveryEntryPointValidates) {

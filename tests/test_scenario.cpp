@@ -201,6 +201,37 @@ TEST(ScenarioSweep, MaskOnRejectionHeavyBookBitIdenticalToFilteredYelt) {
   }
 }
 
+TEST(ScenarioSweep, ThreadedTrialGrainSweepIsBitIdentical) {
+  // Perturbed scenarios ride the same threaded pass: the trial partition
+  // (1/32/128/512 trials per chunk) must not move a bit of any scenario's
+  // outputs vs the inline Sequential pass.
+  const auto portfolio = book(/*contracts=*/3, /*layers=*/2);
+  const auto yelt = lens(900);
+
+  std::vector<ScenarioSpec> specs(2);
+  specs[0].name = "surge";
+  specs[0].loss_scale = 1.3;
+  specs[1].name = "exclusion";
+  specs[1].excluded_events = busy_events();
+
+  core::EngineConfig config;
+  config.backend = core::Backend::Sequential;
+  const auto reference = run_scenario_sweep(portfolio, yelt, specs, config);
+
+  config.backend = core::Backend::Threaded;
+  for (const std::size_t grain :
+       {std::size_t{1}, std::size_t{32}, std::size_t{128}, std::size_t{512}}) {
+    config.trial_grain = grain;
+    const auto threaded = run_scenario_sweep(portfolio, yelt, specs, config);
+    const std::string what = "sweep trial grain " + std::to_string(grain);
+    expect_identical(reference.base, threaded.base, what + " base");
+    for (std::size_t s = 0; s < reference.scenarios.size(); ++s) {
+      expect_identical(reference.scenarios[s], threaded.scenarios[s],
+                       what + " scenario " + std::to_string(s));
+    }
+  }
+}
+
 TEST(ScenarioSweep, TermOverridesBitIdenticalToMaterializedBook) {
   const auto portfolio = book(/*contracts=*/3, /*layers=*/3);
   const auto yelt = lens(1'000);
@@ -471,6 +502,27 @@ TEST(ScenarioSpecValidation, RejectsInfiniteConditioningIntensity) {
   ScenarioSpec spec;
   spec.conditioning = PostEventConditioning{1, std::numeric_limits<double>::infinity()};
   EXPECT_THROW(spec.validate(), ContractViolation);
+}
+
+TEST(ScenarioSpecValidation, RejectsNanLossScale) {
+  ScenarioSpec spec;
+  spec.loss_scale = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(spec.validate(), ContractViolation);
+}
+
+TEST(ScenarioSpecValidation, RejectsNonPositiveConditioningIntensity) {
+  for (const double intensity : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioSpec spec;
+    spec.conditioning = PostEventConditioning{1, intensity};
+    EXPECT_THROW(spec.validate(), ContractViolation) << "intensity " << intensity;
+  }
+}
+
+TEST(ScenarioSpecValidation, AcceptsFinitePositiveScales) {
+  ScenarioSpec spec;
+  spec.loss_scale = 1e6;
+  spec.conditioning = PostEventConditioning{1, 1e-6};
+  EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(MaskColumn, AdjustedSequencesMatchFilteredTable) {

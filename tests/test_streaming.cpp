@@ -83,6 +83,33 @@ TEST(Streaming, ThreadedBackendInsideBlocksAgrees) {
   remove_file(path);
 }
 
+TEST(Streaming, ThreadedBackendAgreesWithInMemory) {
+  // Streamed blocks re-bind one lowered plan; with OEP on, the threaded
+  // streamed run reproduces the threaded in-memory run, AEP and OEP.
+  finance::PortfolioGenConfig pg;
+  pg.contracts = 3;
+  pg.catalog_events = 100;
+  pg.elt_rows = 30;
+  const auto portfolio = finance::generate_portfolio(pg);
+  data::YeltGenConfig yg;
+  yg.trials = 400;
+  const auto yelt = data::generate_yelt(100, yg);
+  const std::string path = "/tmp/riskan_stream_threaded_oep.yeltc";
+  save_yelt_chunked(yelt, path, 100);
+
+  EngineConfig config;
+  config.backend = Backend::Threaded;
+  config.trial_grain = 16;
+  const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+  const auto streamed = run_aggregate_streaming(portfolio, path, config);
+  for (TrialId t = 0; t < yelt.trials(); ++t) {
+    ASSERT_EQ(streamed.portfolio_ylt[t], reference.portfolio_ylt[t]) << "trial " << t;
+    ASSERT_EQ(streamed.portfolio_occurrence_ylt[t], reference.portfolio_occurrence_ylt[t]);
+  }
+  EXPECT_EQ(streamed.blocks, 4u);
+  remove_file(path);
+}
+
 TEST(Streaming, MissingFileRejected) {
   finance::PortfolioGenConfig pg;
   pg.contracts = 1;
