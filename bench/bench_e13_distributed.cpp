@@ -15,8 +15,8 @@
 //                    crash of worker 0 on its first task. The ratio is the
 //                    price of a worker death: detect EOF, respawn, re-queue
 //                    and re-execute the lost block. The retry counters
-//                    (MapReduceStats::blocks_retried / bytes_resent,
-//                    DistStats::worker_deaths) must move under the fault —
+//                    (DistStats::blocks_retried / bytes_resent /
+//                    worker_deaths) must move under the fault —
 //                    and the output must still be bit-identical.
 //   lease expiry   — one stalled-worker run with a short lease, asserting
 //                    leases_expired > 0 and bit-identity (first completion
@@ -86,7 +86,6 @@ DistTiming best_dist(int reps, const finance::Portfolio& portfolio,
 
 struct JobTiming {
   double seconds = -1.0;
-  mapreduce::MapReduceStats mr_stats;
   dist::DistStats dist_stats;
   bool identical = true;
 };
@@ -103,7 +102,6 @@ JobTiming best_job(int reps, mapreduce::Dfs& dfs, const finance::Portfolio& port
     }
     if (best.seconds < 0.0 || result.job_seconds < best.seconds) {
       best.seconds = result.job_seconds;
-      best.mr_stats = result.mr_stats;
       best.dist_stats = result.dist_stats;
     }
   }
@@ -177,15 +175,15 @@ int main() {
   job.trials_per_block = per_block;
   job.dfs_file = "e13-yelt";
   job.dist = base;
-  job.dist->workers = 4;
+  job.dist.workers = 4;
   // Immediate first re-queue: the pair prices detection + respawn +
   // re-execution, not the exponential-backoff politeness delay (which is
   // for *repeated* failures and would dominate a quick-mode run).
-  job.dist->backoff_initial_seconds = 0.0;
+  job.dist.backoff_initial_seconds = 0.0;
   const JobTiming clean_job = best_job(reps, dfs, w.portfolio, w.yelt, job, reference);
 
   mapreduce::AggregateJobConfig crash_job_config = job;
-  crash_job_config.dist->faults.crash = {/*worker=*/0, /*at_task=*/1};
+  crash_job_config.dist.faults.crash = {/*worker=*/0, /*at_task=*/1};
   const JobTiming crash_job =
       best_job(reps, dfs, w.portfolio, w.yelt, crash_job_config, reference);
   dfs.remove(job.dfs_file);
@@ -244,15 +242,15 @@ int main() {
 
   std::cout << "\n" << specs.size() << " blocks x " << per_block << " trials, "
             << format_bytes(static_cast<double>(encoded_bytes))
-            << " encoded; crash-run MapReduce ledger: blocks_retried "
-            << crash_job.mr_stats.blocks_retried << ", bytes_resent "
-            << format_bytes(static_cast<double>(crash_job.mr_stats.bytes_resent))
-            << ", leases_expired " << crash_job.mr_stats.leases_expired
+            << " encoded; crash-run job ledger: blocks_retried "
+            << crash_job.dist_stats.blocks_retried << ", bytes_resent "
+            << format_bytes(static_cast<double>(crash_job.dist_stats.bytes_resent))
+            << ", leases_expired " << crash_job.dist_stats.leases_expired
             << "; stall-run leases_expired " << stalled.stats.leases_expired
             << ", duplicates_discarded " << stalled.stats.duplicates_discarded << "\n";
 
-  const bool counters_moved = crash_job.mr_stats.blocks_retried >= 1 &&
-                              crash_job.mr_stats.bytes_resent >= 1 &&
+  const bool counters_moved = crash_job.dist_stats.blocks_retried >= 1 &&
+                              crash_job.dist_stats.bytes_resent >= 1 &&
                               crash_job.dist_stats.worker_deaths >= 1 &&
                               stalled.stats.leases_expired >= 1;
   const bool scaling_ok = four_ratio <= four_bar;
@@ -290,8 +288,8 @@ int main() {
   // one run, so run-to-run noise would dominate a trajectory gate. The
   // binary enforces the <= 1.5x bar itself.
   json.set("recovery_overhead_x", recovery_overhead);
-  json.set("crash_blocks_retried", crash_job.mr_stats.blocks_retried);
-  json.set("crash_bytes_resent", crash_job.mr_stats.bytes_resent);
+  json.set("crash_blocks_retried", crash_job.dist_stats.blocks_retried);
+  json.set("crash_bytes_resent", crash_job.dist_stats.bytes_resent);
   json.set("crash_worker_deaths",
            static_cast<std::uint64_t>(crash_job.dist_stats.worker_deaths));
   json.set("crash_workers_respawned",

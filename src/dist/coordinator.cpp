@@ -18,6 +18,7 @@
 #include "dist/frame.hpp"
 #include "dist/worker.hpp"
 #include "obs/obs.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/process.hpp"
 #include "util/bytes.hpp"
 #include "util/io_error.hpp"
@@ -654,33 +655,62 @@ class Coordinator {
 
   void fallback_in_process() {
     stats_.fell_back_in_process = true;
-    // Trial order, not spec order: the adaptive frontier folds (and may
-    // cancel) as each block lands, so the fallback stops at exactly the
-    // same trial as a fully-distributed run. Non-adaptive runs complete
-    // every block either way — per-trial assignment is order-blind.
-    for (const std::size_t index : fold_order_) {
-      BlockState& block = blocks_[index];
-      if (block.done) {
-        continue;
+    if (controller_ != nullptr) {
+      // Trial order, one block at a time: the adaptive frontier folds (and
+      // may cancel) as each block lands, so the fallback stops at exactly
+      // the same trial as a fully-distributed run.
+      for (const std::size_t index : fold_order_) {
+        BlockState& block = blocks_[index];
+        if (block.done) {
+          continue;
+        }
+        run_block_in_process(block.spec);
+        mark_done_in_process(block);
+        advance_frontier();
       }
-      const auto encoded = fetch_(block.spec);
-      data::EncodedBlockSource source(encoded);
-      auto engine = engine_;
-      engine.trial_base = engine_.trial_base + block.spec.trial_base;
-      const auto result =
-          core::run_aggregate_analysis(portfolio_, source, engine);
-      RISKAN_ENSURE(result.portfolio_ylt.trials() == block.spec.trials,
-                    "block trial count does not match its spec");
-      const auto losses = result.portfolio_ylt.losses();
-      for (TrialId t = 0; t < block.spec.trials; ++t) {
-        ylt_[block.spec.trial_base + t] = losses[t];
-      }
-      block.done = true;
-      block.queued = false;
-      ++done_;
-      ++stats_.blocks_run_in_process;
-      advance_frontier();
+      return;
     }
+    // A fixed budget completes every block whatever the order (per-trial
+    // assignment into disjoint ranges), so the blocks run on the shared
+    // pool, one block per task. Bookkeeping stays on this thread.
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+      if (!blocks_[i].done) {
+        pending.push_back(i);
+      }
+    }
+    parallel_for(
+        0, pending.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            run_block_in_process(blocks_[pending[i]].spec);
+          }
+        },
+        ParallelConfig{nullptr, /*grain=*/1});
+    for (const std::size_t index : pending) {
+      mark_done_in_process(blocks_[index]);
+    }
+  }
+
+  /// Fetches, decodes and runs one block on the worker engine, writing its
+  /// losses into the block's own trial range of the output YLT.
+  void run_block_in_process(const BlockSpec& spec) {
+    const auto encoded = fetch_(spec);
+    data::EncodedBlockSource source(encoded);
+    auto engine = engine_;
+    engine.trial_base = engine_.trial_base + spec.trial_base;
+    const auto result = core::run_aggregate_analysis(portfolio_, source, engine);
+    RISKAN_ENSURE(result.portfolio_ylt.trials() == spec.trials,
+                  "block trial count does not match its spec");
+    const auto losses = result.portfolio_ylt.losses();
+    std::copy(losses.begin(), losses.end(), ylt_.mutable_losses().begin() + spec.trial_base);
+  }
+
+  void mark_done_in_process(BlockState& block) {
+    block.done = true;
+    block.queued = false;
+    ++done_;
+    ++stats_.blocks_run_in_process;
   }
 
   const finance::Portfolio& portfolio_;

@@ -24,6 +24,9 @@
 // When no worker can be forked (or every one died with the respawn budget
 // spent), the coordinator degrades gracefully: remaining blocks run
 // in-process through the identical EncodedBlockSource + Sequential path.
+// workers = 0 takes that path from the start. In-process blocks run on the
+// shared thread pool, one block per task; an adaptive run folds them one
+// at a time in trial order instead.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +53,8 @@ struct BlockSpec {
 /// Fetches the encoded bytes of a block (a DFS read, a chunked-file read,
 /// or an in-memory slice). Called lazily at assignment time — and again on
 /// re-assignment, so retries re-read rather than pin every block resident.
+/// In-process runs of a fixed trial budget call it concurrently from pool
+/// threads (one block per call), so it must be safe to call that way.
 using BlockFetcher =
     std::function<std::vector<std::byte>(const BlockSpec& spec)>;
 

@@ -12,12 +12,18 @@ namespace fs = std::filesystem;
 Dfs::Dfs(DfsConfig config) : config_(std::move(config)) {
   RISKAN_REQUIRE(config_.block_size > 0, "DFS block size must be positive");
   RISKAN_REQUIRE(config_.replication >= 1, "replication factor must be at least 1");
-  fs::create_directories(config_.root_dir);
+  created_root_ = fs::create_directories(config_.root_dir);
 }
 
 Dfs::~Dfs() {
-  std::error_code ec;
-  fs::remove_all(config_.root_dir, ec);  // best-effort cleanup of the scratch space
+  while (!catalogue_.empty()) {
+    const std::string name = catalogue_.begin()->first;
+    remove(name);
+  }
+  if (created_root_) {
+    std::error_code ec;
+    fs::remove(config_.root_dir, ec);
+  }
 }
 
 std::string Dfs::block_path(const std::string& name, std::size_t block, int replica) const {

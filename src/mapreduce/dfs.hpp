@@ -28,6 +28,9 @@ struct DfsConfig {
 class Dfs {
  public:
   explicit Dfs(DfsConfig config = {});
+  /// Removes the block files this instance wrote, and root_dir itself when
+  /// the constructor created it and it is left empty. Anything else under a
+  /// pre-existing or shared root is kept.
   ~Dfs();
 
   Dfs(const Dfs&) = delete;
@@ -63,6 +66,7 @@ class Dfs {
   DfsConfig config_;
   std::map<std::string, std::vector<std::uint64_t>> catalogue_;  // name -> block sizes
   std::uint64_t logical_bytes_ = 0;
+  bool created_root_ = false;  ///< the constructor made root_dir
 };
 
 }  // namespace riskan::mapreduce

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <mutex>
 #include <vector>
 
@@ -39,33 +40,53 @@ inline std::size_t resolve_grain(std::size_t range, std::size_t threads, std::si
 /// Blocks until `remaining` reaches zero. A tiny latch (std::latch needs a
 /// fixed count at construction, which the chunk loop computes anyway, but
 /// this version also lets the caller run chunks inline when the pool is the
-/// calling thread's own).
+/// calling thread's own). It also carries the first exception a chunk threw
+/// back to the caller: a throw must not escape into the pool's worker loop
+/// (std::terminate), and every chunk still counts down so wait() returns.
 class TaskGate {
  public:
   explicit TaskGate(std::size_t count) : remaining_(count) {}
 
-  void done() {
+  /// Runs one chunk and counts it down, catching whatever it throws.
+  template <typename Fn>
+  void run(const Fn& chunk) noexcept {
+    std::exception_ptr error;
+    try {
+      chunk();
+    } catch (...) {
+      error = std::current_exception();
+    }
     std::lock_guard lock(mutex_);
+    if (error && !error_) {
+      error_ = std::move(error);
+    }
     if (--remaining_ == 0) {
       cv_.notify_all();
     }
   }
 
+  /// Waits for every chunk, then rethrows the first chunk exception.
   void wait() {
     std::unique_lock lock(mutex_);
     cv_.wait(lock, [this] { return remaining_ == 0; });
+    if (error_) {
+      std::rethrow_exception(error_);
+    }
   }
 
  private:
   std::mutex mutex_;
   std::condition_variable cv_;
   std::size_t remaining_;
+  std::exception_ptr error_;
 };
 
 }  // namespace detail
 
 /// Runs body(chunk_begin, chunk_end) for consecutive chunks of [begin, end).
-/// The body must be safe to call concurrently on disjoint chunks.
+/// The body must be safe to call concurrently on disjoint chunks. If a chunk
+/// throws, the other chunks still run and the first exception is rethrown
+/// on the caller once all of them have finished.
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body,
                   ParallelConfig cfg = {}) {
@@ -93,10 +114,7 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = begin + c * grain;
     const std::size_t hi = std::min(end, lo + grain);
-    pool.submit([&body, &gate, lo, hi] {
-      body(lo, hi);
-      gate.done();
-    });
+    pool.submit([&body, &gate, lo, hi] { gate.run([&] { body(lo, hi); }); });
   }
   gate.wait();
 }
@@ -104,6 +122,7 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
 /// Parallel reduction: `chunk_fn(lo, hi)` produces a partial of type T for
 /// each chunk; partials are combined left-to-right with `combine` (chunk
 /// order, so floating-point reductions are deterministic for a fixed grain).
+/// A throwing chunk propagates to the caller as in parallel_for.
 template <typename T, typename ChunkFn, typename Combine>
 T parallel_reduce(std::size_t begin, std::size_t end, T identity, const ChunkFn& chunk_fn,
                   const Combine& combine, ParallelConfig cfg = {}) {
@@ -130,8 +149,7 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, const ChunkFn&
     const std::size_t lo = begin + c * grain;
     const std::size_t hi = std::min(end, lo + grain);
     pool.submit([&chunk_fn, &partials, &gate, c, lo, hi] {
-      partials[c] = chunk_fn(lo, hi);
-      gate.done();
+      gate.run([&] { partials[c] = chunk_fn(lo, hi); });
     });
   }
   gate.wait();

@@ -31,8 +31,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Tasks must not throw; a throwing task terminates (the
-  /// engines catch at task boundaries and funnel errors explicitly).
+  /// Enqueues a task. Tasks must not throw; a throwing task terminates
+  /// (parallel_for/parallel_reduce catch at chunk boundaries and rethrow on
+  /// the caller).
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished executing.

@@ -527,11 +527,10 @@ TEST(AdaptiveMapReduce, InProcessAndDistRuntimesStopIdentically) {
   EXPECT_EQ(in_process.adaptive_report.stop_reason, StopReason::Converged);
   EXPECT_LT(in_process.adaptive_report.trials_run, kTrials);
   EXPECT_EQ(in_process.portfolio_ylt.trials(), in_process.adaptive_report.trials_run);
-  EXPECT_EQ(in_process.mr_stats.reduce_groups, in_process.adaptive_report.trials_run);
+  EXPECT_EQ(in_process.dist_stats.workers_spawned, 0u);
 
   mapreduce::AggregateJobConfig dist_job = job;
-  dist_job.dist.emplace();
-  dist_job.dist->workers = 4;
+  dist_job.dist.workers = 4;
   const auto dist_run =
       mapreduce::run_aggregate_job(dfs, world().portfolio, world().yelt, dist_job);
   EXPECT_EQ(dist_run.adaptive_report.trials_run, in_process.adaptive_report.trials_run);

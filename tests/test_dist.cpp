@@ -272,6 +272,23 @@ TEST(DistFallback, ZeroWorkersRunsInProcess) {
   EXPECT_TRUE(result.stats.fell_back_in_process);
 }
 
+TEST(DistFallback, ZeroWorkersPropagatesFetchIoError) {
+  // In-process blocks run on pool threads; a fetch that fails there must
+  // reach the caller as the fetcher's own typed error.
+  DistConfig config;
+  config.workers = 0;
+  const BlockFetcher failing = [](const BlockSpec& spec) {
+    if (spec.id == 3) {
+      throw IoError("block 3 is unreadable");
+    }
+    return world().encoded[spec.id];
+  };
+  core::EngineConfig engine;
+  EXPECT_THROW((void)run_distributed_aggregate(world().portfolio, engine, world().specs,
+                                               failing, config),
+               IoError);
+}
+
 // ---------------------------------------------------------------------------
 // Contract checks
 // ---------------------------------------------------------------------------
@@ -332,9 +349,8 @@ TEST(DistJob, MapReduceJobOnDistTransportBitIdenticalUnderCrash) {
       mapreduce::run_aggregate_job(dfs_a, w.portfolio, w.yelt, in_process);
 
   mapreduce::AggregateJobConfig distributed = in_process;
-  distributed.dist = DistConfig{};
-  distributed.dist->workers = 2;
-  distributed.dist->faults.crash = {1, 1};  // second worker dies on task 1
+  distributed.dist.workers = 2;
+  distributed.dist.faults.crash = {1, 1};  // second worker dies on task 1
   dfs_config.root_dir = "/tmp/riskan-dfs-dist-workers";
   mapreduce::Dfs dfs_b(dfs_config);
   const auto actual =
@@ -344,12 +360,12 @@ TEST(DistJob, MapReduceJobOnDistTransportBitIdenticalUnderCrash) {
   for (TrialId t = 0; t < actual.portfolio_ylt.trials(); ++t) {
     ASSERT_EQ(actual.portfolio_ylt[t], expected.portfolio_ylt[t]) << "trial " << t;
   }
-  // The recovery ledger surfaces through MapReduceStats (and is non-zero
-  // under the injected fault).
-  EXPECT_GE(actual.mr_stats.blocks_retried, 1u);
-  EXPECT_GE(actual.mr_stats.bytes_resent, 1u);
+  // The recovery ledger surfaces through the job's DistStats (and is
+  // non-zero under the injected fault).
+  EXPECT_GE(actual.dist_stats.blocks_retried, 1u);
+  EXPECT_GE(actual.dist_stats.bytes_resent, 1u);
   EXPECT_GE(actual.dist_stats.worker_deaths, 1u);
-  EXPECT_EQ(expected.mr_stats.blocks_retried, 0u);
+  EXPECT_EQ(expected.dist_stats.blocks_retried, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
-// The distributed-file-space substrate: DFS block store, MapReduce runtime,
-// and the aggregate-analysis job's bit-exact equivalence with the
-// in-memory engine.
+// The distributed-file-space substrate: DFS block store and the
+// aggregate-analysis job's bit-exact equivalence with the in-memory engine.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "core/aggregate_engine.hpp"
 #include "mapreduce/aggregate_job.hpp"
 #include "mapreduce/dfs.hpp"
-#include "mapreduce/framework.hpp"
+#include "util/bytes.hpp"
+#include "util/io_error.hpp"
 #include "util/require.hpp"
 
 namespace riskan::mapreduce {
@@ -76,6 +77,26 @@ TEST(Dfs, ChunkedWritePreservesChunkBoundaries) {
   EXPECT_EQ(dfs.read_block("f", 2).size(), 1u);
 }
 
+TEST(Dfs, DestructorKeepsPreexistingFiles) {
+  const std::filesystem::path root = "/tmp/riskan-dfs-test-preexisting";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const auto sentinel = root / "sentinel";
+  write_file(sentinel.string(), make_bytes(3, 9));
+  {
+    DfsConfig config = test_dfs_config("unused");
+    config.root_dir = root.string();
+    Dfs dfs(config);
+    dfs.write("file", make_bytes(1000, 1));
+    EXPECT_TRUE(std::filesystem::exists(root / "file.blk0.r0"));
+  }
+  // Only the instance's own blocks go; the root it did not create and the
+  // file it did not write stay.
+  EXPECT_TRUE(std::filesystem::exists(sentinel));
+  EXPECT_FALSE(std::filesystem::exists(root / "file.blk0.r0"));
+  std::filesystem::remove_all(root);
+}
+
 TEST(Dfs, ConfigContracts) {
   DfsConfig bad = test_dfs_config("bad");
   bad.block_size = 0;
@@ -83,83 +104,6 @@ TEST(Dfs, ConfigContracts) {
   bad = test_dfs_config("bad2");
   bad.replication = 0;
   EXPECT_THROW(Dfs{bad}, ContractViolation);
-}
-
-// ---------------------------------------------------------------------------
-// MapReduce runtime
-// ---------------------------------------------------------------------------
-
-TEST(MapReduce, SumsPerKeyAcrossSplits) {
-  // 10 splits each emitting (split % 3, split): classic keyed sum.
-  MapReduceStats stats;
-  const auto result = run_mapreduce<int, double>(
-      10,
-      [](std::size_t split, const std::function<void(const int&, const double&)>& emit) {
-        emit(static_cast<int>(split % 3), static_cast<double>(split));
-      },
-      [](const double& a, const double& b) { return a + b; }, {}, &stats);
-
-  ASSERT_EQ(result.size(), 3u);
-  EXPECT_DOUBLE_EQ(result.at(0), 0.0 + 3 + 6 + 9);
-  EXPECT_DOUBLE_EQ(result.at(1), 1.0 + 4 + 7);
-  EXPECT_DOUBLE_EQ(result.at(2), 2.0 + 5 + 8);
-  EXPECT_EQ(stats.map_emissions, 10u);
-  EXPECT_EQ(stats.reduce_groups, 3u);
-}
-
-TEST(MapReduce, CombinerReducesShuffleVolume) {
-  auto mapper = [](std::size_t /*split*/,
-                   const std::function<void(const int&, const double&)>& emit) {
-    for (int i = 0; i < 100; ++i) {
-      emit(i % 5, 1.0);  // heavy key repetition inside one task
-    }
-  };
-  auto add = [](const double& a, const double& b) { return a + b; };
-
-  MapReduceConfig with;
-  with.enable_combiner = true;
-  MapReduceStats stats_with;
-  const auto a = run_mapreduce<int, double>(4, mapper, add, with, &stats_with);
-
-  MapReduceConfig without;
-  without.enable_combiner = false;
-  MapReduceStats stats_without;
-  const auto b = run_mapreduce<int, double>(4, mapper, add, without, &stats_without);
-
-  // Same answer either way...
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [key, value] : a) {
-    EXPECT_DOUBLE_EQ(value, b.at(key));
-    EXPECT_DOUBLE_EQ(value, 80.0);  // 4 splits x 20 per key
-  }
-  // ...but the combiner collapses 400 emissions into 20 shuffle pairs.
-  EXPECT_EQ(stats_with.shuffle_pairs, 20u);
-  EXPECT_EQ(stats_without.shuffle_pairs, 400u);
-  EXPECT_LT(stats_with.shuffle_bytes, stats_without.shuffle_bytes);
-}
-
-TEST(MapReduce, ManyReducersSameAnswer) {
-  auto mapper = [](std::size_t split,
-                   const std::function<void(const int&, const double&)>& emit) {
-    emit(static_cast<int>(split), 2.0);
-  };
-  auto add = [](const double& a, const double& b) { return a + b; };
-  MapReduceConfig one;
-  one.reducers = 1;
-  MapReduceConfig many;
-  many.reducers = 16;
-  const auto a = run_mapreduce<int, double>(50, mapper, add, one);
-  const auto b = run_mapreduce<int, double>(50, mapper, add, many);
-  EXPECT_EQ(a, b);
-}
-
-TEST(MapReduce, ContractsEnforced) {
-  auto mapper = [](std::size_t, const std::function<void(const int&, const double&)>&) {};
-  auto add = [](const double& a, const double& b) { return a + b; };
-  EXPECT_THROW((run_mapreduce<int, double>(0, mapper, add)), ContractViolation);
-  MapReduceConfig bad;
-  bad.reducers = 0;
-  EXPECT_THROW((run_mapreduce<int, double>(1, mapper, add, bad)), ContractViolation);
 }
 
 // ---------------------------------------------------------------------------
@@ -205,7 +149,10 @@ TEST_P(AggregateJobFixture, MatchesInMemoryEngineBitExactly) {
   }
   EXPECT_EQ(result.blocks, (yelt_.trials() + 127) / 128);
   EXPECT_GT(result.dfs_bytes, 0u);
-  EXPECT_EQ(result.mr_stats.reduce_groups, yelt_.trials());
+  // The default runtime is the coordinator's in-process path: every block
+  // ran here, no worker was forked.
+  EXPECT_EQ(result.dist_stats.blocks_run_in_process, result.blocks);
+  EXPECT_EQ(result.dist_stats.workers_spawned, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(SecondaryOnOff, AggregateJobFixture, ::testing::Bool());
@@ -235,6 +182,33 @@ TEST_F(AggregateJobFixture, StageInIsIdempotent) {
   const auto result = run_aggregate_job(dfs, portfolio_, yelt_, job);
   EXPECT_EQ(dfs.logical_bytes(), before);
   EXPECT_EQ(result.blocks, blocks);
+}
+
+TEST_F(AggregateJobFixture, RestagedWithOtherBlockSizeRejected) {
+  // A file staged at 128 trials per block, then run at 100: the trial bases
+  // would no longer match the blocks, so the job must refuse before any
+  // block runs rather than return a wrong YLT.
+  Dfs dfs(test_dfs_config("restage"));
+  AggregateJobConfig staged;
+  staged.trials_per_block = 128;
+  (void)stage_yelt(dfs, yelt_, staged);
+  AggregateJobConfig job = staged;
+  job.trials_per_block = 100;
+  EXPECT_THROW((void)run_aggregate_job(dfs, portfolio_, yelt_, job), ContractViolation);
+}
+
+TEST_F(AggregateJobFixture, TruncatedStagedBlockThrowsTypedError) {
+  // Hostile bytes in the file space surface as a typed decode error on the
+  // caller — not an abort from a pool thread.
+  auto config = test_dfs_config("truncated");
+  Dfs dfs(config);
+  AggregateJobConfig job;
+  job.trials_per_block = 100;
+  const auto blocks = stage_yelt(dfs, yelt_, job);
+  ASSERT_GT(blocks, 2u);
+  const std::string path = config.root_dir + "/" + job.dfs_file + ".blk1.r0";
+  std::filesystem::resize_file(path, 10);
+  EXPECT_THROW((void)run_aggregate_job(dfs, portfolio_, yelt_, job), CorruptChunkError);
 }
 
 }  // namespace

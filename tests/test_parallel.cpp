@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -128,6 +129,45 @@ TEST(ParallelFor, ChunksRespectGrain) {
   for (const auto& [lo, hi] : chunks) {
     EXPECT_LE(hi - lo, 100u);
   }
+}
+
+TEST(ParallelFor, BodyExceptionPropagatesToCaller) {
+  // A throwing chunk must not escape into the pool's worker loop (which
+  // would terminate the process): every chunk still runs and the caller
+  // gets the exception once they have all finished.
+  ThreadPool pool(4);
+  std::atomic<std::size_t> visited{0};
+  EXPECT_THROW(parallel_for(
+                   0, 64,
+                   [&](std::size_t lo, std::size_t hi) {
+                     visited.fetch_add(hi - lo, std::memory_order_relaxed);
+                     if (lo <= 17 && 17 < hi) {
+                       throw std::runtime_error("chunk failed");
+                     }
+                   },
+                   ParallelConfig{&pool, 1}),
+               std::runtime_error);
+  EXPECT_EQ(visited.load(), 64u);
+  // The pool survives and keeps serving work.
+  std::atomic<int> after{0};
+  parallel_for(
+      0, 8, [&](std::size_t lo, std::size_t hi) { after.fetch_add(static_cast<int>(hi - lo)); },
+      ParallelConfig{&pool, 1});
+  EXPECT_EQ(after.load(), 8);
+}
+
+TEST(ParallelReduce, ChunkExceptionPropagatesToCaller) {
+  ThreadPool pool(4);
+  EXPECT_THROW((void)parallel_reduce<long>(
+                   0, 100, 0L,
+                   [](std::size_t lo, std::size_t hi) -> long {
+                     if (lo >= 50) {
+                       throw std::out_of_range("chunk failed");
+                     }
+                     return static_cast<long>(hi - lo);
+                   },
+                   [](long a, long b) { return a + b; }, ParallelConfig{&pool, 10}),
+               std::out_of_range);
 }
 
 TEST(ParallelReduce, SumsCorrectly) {
