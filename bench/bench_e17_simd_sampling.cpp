@@ -257,9 +257,11 @@ int main() {
 
   // Fast-path utilization: one instrumented secondary-on vector run, read
   // through the global metrics registry. The hit rate is the fraction of
-  // occurrences resolved by the lane fast path (degenerate rows included)
-  // rather than the scalar rejection-tail fallback — the number the
-  // batched sampler's win rests on.
+  // drawn occurrences resolved by the lane fast path (degenerate rows
+  // included) rather than the scalar rejection-tail fallback — the number
+  // the batched sampler's win rests on. Skipped occurrences are the ones
+  // the attachment cut leaves undrawn (row exposure at or below the
+  // layer's retention); they count in neither.
   config.secondary_uncertainty = true;
   config.compute_oep = true;
   config.backend = core::Backend::Sequential;
@@ -269,12 +271,16 @@ int main() {
   const auto delta = obs::RegistrySnapshot::delta(before, after);
   const double fast = delta.counter_value("exec.simd.sampler.fast");
   const double tail = delta.counter_value("exec.simd.sampler.tail");
+  const double skipped = delta.counter_value("exec.simd.sampler.skipped");
   const double hit_rate = fast + tail > 0.0 ? fast / (fast + tail) : 0.0;
   std::cout << "\nsampler fast path: " << static_cast<std::uint64_t>(fast)
             << " occurrences, rejection tail: " << static_cast<std::uint64_t>(tail)
-            << " (hit rate " << format_fixed(hit_rate * 100.0, 1) << "%)\n";
+            << " (hit rate " << format_fixed(hit_rate * 100.0, 1) << "%)"
+            << ", skipped under the attachment cut: " << static_cast<std::uint64_t>(skipped)
+            << "\n";
   json.set("sampler_fast_occurrences", static_cast<std::uint64_t>(fast));
   json.set("sampler_tail_occurrences", static_cast<std::uint64_t>(tail));
+  json.set("sampler_skipped_occurrences", static_cast<std::uint64_t>(skipped));
   json.set("sampler_fast_hit_rate", hit_rate);
 
   std::cout << "\n[E17 verdict] simd/sequential on the secondary + OEP workload: "

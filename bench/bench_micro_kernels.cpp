@@ -137,6 +137,7 @@ void run_sample_lanes(benchmark::State& state, bool rejection_heavy) {
   std::uint64_t trial = 0;
   std::uint64_t fast = 0;
   std::uint64_t tail = 0;
+  std::uint64_t skipped = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < n; ++i) {
       rows[i] = static_cast<std::uint32_t>(i % sampler.size());
@@ -144,7 +145,7 @@ void run_sample_lanes(benchmark::State& state, bool rejection_heavy) {
     }
     trial += n;
     sampler.sample_lanes(philox, /*hi_key=*/(1u << 16) | 1u, rows.data(), lo.data(), n,
-                         out.data(), fast, tail);
+                         core::AttachmentCut{}, out.data(), fast, tail, skipped);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["fast_hit_rate"] =

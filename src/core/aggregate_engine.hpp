@@ -20,13 +20,13 @@
 // by data::ResolverCache) and the whole book becomes one slot per
 // (contract, layer) served by a single streamed pass over the trials.
 // Every entry point — this front end, the multi-book runner, the scenario
-// sweep, MapReduce map tasks, dist workers and the pricer's run_layer —
-// lowers its request into batch slots via an exec::ExecutionPlan
-// (src/core/exec.hpp) and runs it with exec::execute on one of two host
-// backends:
+// sweep, the dist coordinator's blocks (in process or on workers) and the
+// pricer's run_layer — lowers its request into batch slots via an
+// exec::ExecutionPlan (src/core/exec.hpp) and runs it with exec::execute
+// on one of two host backends:
 //   Sequential — single thread, pool-free; the baseline of the paper's
-//                "15x" claim (MapReduce map tasks rely on the pool-free
-//                contract).
+//                "15x" claim (the dist coordinator's in-process blocks
+//                rely on the pool-free contract).
 //   Threaded   — parallel trial chunks on the shared-memory pool.
 // Threading and ISA are independent: Sequential and Threaded both run the
 // vectorized kernel (src/core/batch_simd.hpp) on the runtime-dispatched
@@ -70,9 +70,10 @@ inline constexpr Backend kAllBackends[] = {Backend::Sequential, Backend::Threade
 
 /// Backends bound to the caller's thread (never the pool): resolution
 /// builds and block decodes under them must run inline, both for the
-/// single-thread contract (MapReduce map tasks invoke the engine from pool
-/// workers, where submitting and blocking can deadlock) and for dist
-/// workers, which are forked processes without a pool.
+/// single-thread contract (the dist coordinator's in-process blocks invoke
+/// the engine from pool workers, where submitting and blocking can
+/// deadlock) and for dist workers, which are forked processes without a
+/// pool.
 constexpr bool pool_free(Backend backend) noexcept {
   return backend == Backend::Sequential;
 }

@@ -55,6 +55,7 @@ struct SimdStats {
   std::uint64_t scalar_occurrences = 0;  ///< scalar-fallback groups
   std::uint64_t sampler_fast = 0;        ///< secondary draws: lane fast path
   std::uint64_t sampler_tail = 0;        ///< secondary draws: scalar rejection tail
+  std::uint64_t sampler_skipped = 0;     ///< secondary occurrences dead under the cut
 
   SimdStats& operator+=(const SimdStats& o) noexcept {
     vector_occurrences += o.vector_occurrences;
@@ -62,6 +63,7 @@ struct SimdStats {
     scalar_occurrences += o.scalar_occurrences;
     sampler_fast += o.sampler_fast;
     sampler_tail += o.sampler_tail;
+    sampler_skipped += o.sampler_skipped;
     return *this;
   }
 };
@@ -132,8 +134,10 @@ void finish_slot_trials_out(const Slot& s, TrialId t0, TrialId t1, const Money* 
 /// scalar kernel keys (contract, layer, trial_base + t, seq). `t_first` is
 /// any trial at or before the one containing k_begin; the walk advances it
 /// across the slot's hit offsets. Sampling goes through the batched
-/// SecondarySampler::sample_lanes path; `stats` collects its fast/tail
-/// split.
+/// SecondarySampler::sample_lanes path under the slot's attachment cut
+/// (loss_scale, occ_retention): a dead occurrence draws nothing and gets a
+/// value the slot's terms map to +0.0. `stats` collects the fast/tail/
+/// skipped split.
 void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
                                   TrialId trial_base, TrialId t_first,
                                   std::uint64_t k_begin, std::uint64_t k_end, Money* out,

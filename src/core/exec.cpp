@@ -55,12 +55,15 @@ void publish(const SimdDispatch& dispatch, const batch::SimdStats& stats) {
       obs::MetricsRegistry::global().counter("exec.simd.sampler.fast");
   static const obs::Counter sampler_tail =
       obs::MetricsRegistry::global().counter("exec.simd.sampler.tail");
+  static const obs::Counter sampler_skipped =
+      obs::MetricsRegistry::global().counter("exec.simd.sampler.skipped");
   width_gauge.set(dispatch.width);
   vector_occ.add(static_cast<double>(stats.vector_occurrences));
   tail_occ.add(static_cast<double>(stats.tail_occurrences));
   scalar_occ.add(static_cast<double>(stats.scalar_occurrences));
   sampler_fast.add(static_cast<double>(stats.sampler_fast));
   sampler_tail.add(static_cast<double>(stats.sampler_tail));
+  sampler_skipped.add(static_cast<double>(stats.sampler_skipped));
 }
 
 }  // namespace

@@ -13,9 +13,10 @@
 //
 //   execute — runs a plan for Sequential or Threaded, which differ only
 //       in scheduling: Sequential runs the whole range inline on the
-//       caller's thread and never touches a pool (MapReduce map tasks run
-//       from pool workers and rely on this); Threaded runs parallel_for
-//       over trial chunks (EngineConfig::trial_grain is the chunk knob).
+//       caller's thread and never touches a pool (the dist coordinator's
+//       in-process blocks run it from pool workers and rely on this);
+//       Threaded runs parallel_for over trial chunks
+//       (EngineConfig::trial_grain is the chunk knob).
 //       Either way each range runs the vectorized kernel
 //       (core/batch_simd.hpp) on the runtime-dispatched ISA
 //       (core/simd.hpp), or the scalar batch::process_trials when no wide

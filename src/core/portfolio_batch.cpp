@@ -52,6 +52,15 @@ inline void finish_slot_trial(const Slot& s, TrialId t, Money annual) {
   }
 }
 
+/// The slot's attachment cut (core/secondary.hpp). An occurrence of a row
+/// the cut marks dead can only yield +0.0 under the slot's terms, so the
+/// kernels skip its draw: skipping it adds nothing to the annual sum
+/// (never -0.0, so adding +0.0 is the identity) and nothing to the OEP
+/// accumulator (it only takes occurrence losses > 0).
+inline AttachmentCut attachment_cut(const Slot& s) noexcept {
+  return AttachmentCut{s.loss_scale, s.terms.occ_retention};
+}
+
 inline bool inert_transforms(const Slot& s) noexcept {
   return s.mask_seq == nullptr && s.loss_scale == 1.0 && s.conditioned_ground_up < 0.0;
 }
@@ -67,6 +76,9 @@ inline void process_singleton_trial(const Slot& s, const Philox4x32& philox,
                                     bool secondary, TrialId trial_base, TrialId t,
                                     std::uint64_t trial_begin) {
   Money annual = kTransforms ? conditioned_annual(s, t) : 0.0;
+  // Inert slots have loss_scale 1.0; folding it lets the cut compile to a
+  // plain compare.
+  const AttachmentCut cut{kTransforms ? s.loss_scale : 1.0, s.terms.occ_retention};
   const std::uint64_t k_end = s.hit_offsets[t + 1];
   for (std::uint64_t k = s.hit_offsets[t]; k < k_end; ++k) {
     const std::uint32_t seq = s.seqs[k];
@@ -83,6 +95,9 @@ inline void process_singleton_trial(const Slot& s, const Philox4x32& philox,
     }
     Money ground_up;
     if (secondary) {
+      if (cut.dead(s.sampler->max_loss(row))) {
+        continue;
+      }
       auto stream =
           occurrence_stream(philox, s.contract_id, s.layer_id, trial_base + t, eff_seq);
       ground_up = s.sampler->sample(row, stream);
@@ -197,7 +212,10 @@ void process_trials(std::span<const Slot> slots, std::span<const Group> groups,
         // Masked slots with a shifted sequence sample under the key the
         // occurrence has in the physically filtered table; that sample too
         // depends only on eff_seq within the group, so scenarios sharing a
-        // (deduped) mask column share it through a one-entry cache.
+        // (deduped) mask column share it through a one-entry cache. A slot
+        // dead under its attachment cut takes +0.0 without a draw, so the
+        // group samples only if some live slot reads the value.
+        const Money max_loss = secondary ? lead.sampler->max_loss(row) : 0.0;
         Money shared_gu = 0.0;
         bool shared_ready = false;
         std::uint32_t shifted_seq = kMaskedOut;
@@ -214,6 +232,9 @@ void process_trials(std::span<const Slot> slots, std::span<const Group> groups,
           }
           Money ground_up;
           if (secondary) {
+            if (attachment_cut(s).dead(max_loss)) {
+              continue;
+            }
             if (eff_seq == seq) {
               if (!shared_ready) {
                 auto stream = occurrence_stream(philox, s.contract_id, s.layer_id,
@@ -345,8 +366,9 @@ void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
       }
       lo[i] = stream_lo_key(trial_base + t, s.seqs[k]);
     }
-    s.sampler->sample_lanes(philox, hi, s.rows + b, lo, n, out + (b - k_begin),
-                            stats.sampler_fast, stats.sampler_tail);
+    s.sampler->sample_lanes(philox, hi, s.rows + b, lo, n, attachment_cut(s),
+                            out + (b - k_begin), stats.sampler_fast, stats.sampler_tail,
+                            stats.sampler_skipped);
   }
 }
 
@@ -384,8 +406,8 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
   runs_counter.add();
   const TrialId trials = source.trials();
   // Pool-free backends must stay off the pool end to end (single-thread
-  // contract; MapReduce map tasks run them from pool workers, where
-  // blocking can deadlock).
+  // contract; the dist coordinator's in-process blocks run them from pool
+  // workers, where blocking can deadlock).
   const ParallelConfig par_cfg =
       pool_free(config.backend)
           ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}

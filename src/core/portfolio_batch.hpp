@@ -4,11 +4,11 @@
 //
 // This file holds the repo's ONE stage-2 trial loop. Every entry point
 // (run_aggregate_analysis, the multi-book runner, the scenario sweep,
-// MapReduce map tasks, dist workers, the pricer's run_layer) lowers to a
-// list of Slots, is shaped into an exec::ExecutionPlan, and is run on
-// this kernel (or its vectorized twin, core/batch_simd.hpp) by
-// exec::execute (Sequential / Threaded) — see src/core/exec.hpp for the
-// plan/execute layer.
+// the dist coordinator's blocks — in process or on workers — and the
+// pricer's run_layer) lowers to a list of Slots, is shaped into an
+// exec::ExecutionPlan, and is run on this kernel (or its vectorized twin,
+// core/batch_simd.hpp) by exec::execute (Sequential / Threaded) — see
+// src/core/exec.hpp for the plan/execute layer.
 //
 // A Slot is one consumer of the streamed pass — a (contract, layer) — and
 // gathers through its contract's hit-compacted CSR columns

@@ -110,8 +110,9 @@ inline bool gamma_first_attempt(const std::uint64_t* w, int& idx, double d, doub
 
 void SecondarySampler::sample_lanes(const Philox4x32& engine, std::uint64_t hi_key,
                                     const std::uint32_t* rows, const std::uint64_t* lo,
-                                    std::size_t n, Money* out, std::uint64_t& fast,
-                                    std::uint64_t& tail) const {
+                                    std::size_t n, const AttachmentCut& cut, Money* out,
+                                    std::uint64_t& fast, std::uint64_t& tail,
+                                    std::uint64_t& skipped) const {
   const PhiloxLanes lanes(engine);
 
   // Per batch: up to kLanes occurrences, 3 or 4 blocks per live lane — the
@@ -144,23 +145,29 @@ void SecondarySampler::sample_lanes(const Philox4x32& engine, std::uint64_t hi_k
   for (std::size_t b0 = 0; b0 < n; b0 += kLanes) {
     const std::size_t bn = std::min(kLanes, n - b0);
 
-    // Classify into the two live lists (branchless double-append);
-    // degenerate rows commit immediately with zero draws, like the scalar
-    // path.
+    // Classify into the two live lists (branchless double-append). Rows
+    // that draw nothing commit here: a degenerate row its precomputed
+    // value, like the scalar path, and a row dead under the attachment cut
+    // its exposure, which is at or below the cut. Live lanes overwrite
+    // this value in the decode below. Dead rows arrive in random order
+    // (about a third of a rolled-up book's occurrences), so they join the
+    // append arithmetic rather than a branch.
     std::size_t nnb = 0;
     std::size_t nbo = 0;
+    std::size_t ndead = 0;
     for (std::size_t i = 0; i < bn; ++i) {
       const LaneRow& r = lane_rows_[rows[b0 + i]];
       const std::uint32_t flags = r.flags;
-      if ((flags & kDegenerate) != 0) {
-        out[b0 + i] = r.d_a;  // precomputed; zero draws, like the scalar path
-        continue;
-      }
+      const bool degenerate = (flags & kDegenerate) != 0;
+      const bool dead = cut.dead(r.exposure);
+      const bool live = !degenerate && !dead;
       const bool boosted = (flags & (kBoostAlpha | kBoostBeta)) != 0;
+      out[b0 + i] = degenerate ? r.d_a : r.exposure;
       nb[nnb] = static_cast<std::uint32_t>(i);
       bo[nbo] = static_cast<std::uint32_t>(i);
-      nnb += boosted ? 0 : 1;
-      nbo += boosted ? 1 : 0;
+      nnb += live && !boosted ? 1 : 0;
+      nbo += live && boosted ? 1 : 0;
+      ndead += dead ? 1 : 0;
     }
 
     std::size_t c = 0;
@@ -227,8 +234,9 @@ void SecondarySampler::sample_lanes(const Philox4x32& engine, std::uint64_t hi_k
       }
     }
 
-    fast += bn - nfall;
+    fast += bn - nfall - ndead;
     tail += nfall;
+    skipped += ndead;
 
     // Rejection tail: the scalar sampler on a fresh per-occurrence stream
     // (order-independent — every stream is keyed by its own lo).

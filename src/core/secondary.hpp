@@ -9,9 +9,26 @@
 // Determinism contract: the sample depends only on (seed, contract, layer,
 // trial, occurrence-sequence) through a counter-based Philox stream, so all
 // engine backends produce bit-identical YLTs regardless of scheduling.
+//
+// The attachment cut: every sample of row r is at most max_loss(r), the
+// row's exposure. A non-degenerate sample is exposure * x/(x+y) with gamma
+// draws x, y > 0, and under round-to-nearest fl(x+y) >= x, so the ratio
+// rounds to at most 1; a degenerate sample is exposure * mean_ratio with
+// mean_ratio <= 1. Rounded multiplication by a non-negative scale is
+// monotone, so when fl(max_loss(r) * loss_scale) <= occ_retention every
+// scaled sample sits at or below the retention, apply_occurrence returns
+// exactly +0.0 under either retention kind, and neither the annual sum nor
+// the OEP accumulator can see the draw. The kernels skip such draws
+// (AttachmentCut); each occurrence owns its Philox stream, so a skip
+// perturbs no other occurrence. The one sample outside the bound is a 0/0
+// beta draw: both boosted gamma draws underflow to zero, which needs
+// u^(1/shape) below the smallest subnormal on both marginals (shapes below
+// ~0.05 and both boost uniforms below ~1e-10). That sample is NaN, and on a
+// dead row the cut commits +0.0 in its place. No branch guards it.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "data/elt.hpp"
@@ -20,6 +37,20 @@
 #include "util/prng.hpp"
 
 namespace riskan::core {
+
+/// The attachment cut of one kernel slot: its loss_scale and occurrence
+/// retention. An occurrence of a row is dead — no sample of it
+/// can reach the layer — when dead(max_loss(row)) holds; see the header
+/// comment for the bound. The default cut kills nothing (every max_loss is
+/// >= 0 > -inf).
+struct AttachmentCut {
+  double loss_scale = 1.0;
+  Money occ_retention = -std::numeric_limits<Money>::infinity();
+
+  bool dead(Money max_loss) const noexcept {
+    return loss_scale >= 0.0 && max_loss * loss_scale <= occ_retention;
+  }
+};
 
 /// Precomputed per-ELT-row beta parameters (method of moments on the
 /// normalised loss mean/sigma). Computing these once per table keeps the
@@ -52,14 +83,21 @@ class SecondarySampler {
     return p.exposure * sample_beta(rng, p.alpha, p.beta);
   }
 
+  /// Upper bound of every sample of `row`: the row's exposure.
+  Money max_loss(std::size_t row) const noexcept { return params_[row].exposure; }
+
   /// Batched sampling for the vector pass: out[i] = sample(rows[i], s_i)
   /// where s_i is the occurrence stream (engine, hi_key, lo[i]) — exactly
-  /// what the scalar kernel would construct per occurrence. `fast` / `tail`
-  /// count occurrences resolved by the lane fast path (degenerate rows
-  /// included) vs the scalar rejection-tail fallback.
+  /// what the scalar kernel would construct per occurrence — except that an
+  /// occurrence `cut` marks dead draws nothing and gets max_loss(rows[i])
+  /// (or the degenerate row's value), which is at or below the cut, so the
+  /// terms still map it to +0.0. `fast` / `tail` count drawn occurrences
+  /// resolved by the lane fast path (live degenerate rows included) vs the
+  /// scalar rejection-tail fallback; `skipped` counts the dead ones.
   void sample_lanes(const Philox4x32& engine, std::uint64_t hi_key,
                     const std::uint32_t* rows, const std::uint64_t* lo, std::size_t n,
-                    Money* out, std::uint64_t& fast, std::uint64_t& tail) const;
+                    const AttachmentCut& cut, Money* out, std::uint64_t& fast,
+                    std::uint64_t& tail, std::uint64_t& skipped) const;
 
   std::size_t size() const noexcept { return params_.size(); }
 

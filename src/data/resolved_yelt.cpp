@@ -94,14 +94,6 @@ CompactResolvedYelt CompactResolvedYelt::build(const EventLossTable& elt,
   const auto offsets = yelt.offsets();
   const auto events = yelt.events();
 
-  // Guard before the parallel region: pool tasks must not throw (a throw
-  // there terminates instead of surfacing the ContractViolation).
-  for (TrialId t = 0; t < trials; ++t) {
-    RISKAN_REQUIRE(offsets[t + 1] - offsets[t] <=
-                       std::numeric_limits<std::uint32_t>::max(),
-                   "trial too large for uint32 occurrence sequence numbers");
-  }
-
   // Both passes look each event up afresh rather than materialising an
   // occurrence-aligned row column between them: at a typical 10% catalogue
   // coverage that column would be ~5x the bytes of the compact output.
@@ -109,12 +101,17 @@ CompactResolvedYelt CompactResolvedYelt::build(const EventLossTable& elt,
   const auto passes = [&](const auto& row_of) {
     // Pass 1: per-trial hit counts, streamed in parallel trial slabs.
     // Counts land in trial_offsets_[t + 1] so the exclusive prefix sum
-    // below turns the vector into the CSR index in place.
+    // below turns the vector into the CSR index in place. Each trial's
+    // sequence numbers must fit the uint32 seqs column; a chunk that finds
+    // one too long throws, and parallel_for rethrows it on the caller.
     auto* counts = compact.trial_offsets_.data();
     parallel_for(
         0, trials,
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t t = lo; t < hi; ++t) {
+            RISKAN_REQUIRE(offsets[t + 1] - offsets[t] <=
+                               std::numeric_limits<std::uint32_t>::max(),
+                           "trial too large for uint32 occurrence sequence numbers");
             std::uint64_t found = 0;
             for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
               found += row_of(events[i]) != ResolvedYelt::kNoLoss ? 1 : 0;

@@ -56,14 +56,17 @@ std::uint64_t trace_thread_id() noexcept {
 
 namespace {
 
+// The thread-name table is immortal, like TraceBuffer::global()'s buffer:
+// the atexit trace export reads it, and a function-local static built
+// after global() registered that export would be destroyed before it runs.
 std::mutex& thread_names_mutex() {
-  static std::mutex m;
-  return m;
+  static auto* m = new std::mutex;
+  return *m;
 }
 
 std::vector<std::pair<std::uint64_t, std::string>>& thread_names_storage() {
-  static std::vector<std::pair<std::uint64_t, std::string>> names;
-  return names;
+  static auto* names = new std::vector<std::pair<std::uint64_t, std::string>>;
+  return *names;
 }
 
 }  // namespace

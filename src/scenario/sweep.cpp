@@ -138,7 +138,8 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
   }
 
   // Pool-free backends stay off the pool (single-thread contract, shared
-  // with MapReduce map tasks); exec::execute owns the backend dispatch.
+  // with the dist coordinator's in-process blocks); exec::execute owns the
+  // backend dispatch.
   const ParallelConfig par_cfg =
       core::pool_free(config.backend)
           ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}

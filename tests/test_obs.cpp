@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -23,6 +24,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/frame.hpp"
 #include "finance/contract.hpp"
+#include "kernel_modes.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -561,6 +563,62 @@ TEST(ObsReportFlow, TracePathExportsLoadableChromeTrace) {
   EXPECT_NE(json.find(R"("ph":"X")"), std::string::npos);
   EXPECT_NE(json.find("engine.block"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(ObsTrace, AtexitExportKeepsThreadNamesIntact) {
+  // A traced run registers its RISKAN_TRACE export with atexit when it
+  // first touches the global buffer; a prefetch thread names itself
+  // later. The export at exit must still see that name. The child is a
+  // fresh exec of this binary (threadsafe death-test style), so the
+  // buffer and the thread-name table are built in that order there.
+  (void)TraceBuffer::global();  // this process never exports to `path`
+  const std::string path = ::testing::TempDir() + "riskan-trace-thread-names.json";
+  test_support::ScopedEnv trace_env("RISKAN_TRACE", path.c_str());
+  std::remove(path.c_str());
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        static const std::uint32_t block = span_id("prefetch.block");
+        std::thread([] {
+          set_trace_thread_name("prefetch");
+          const Span span(block);
+        }).join();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "the child wrote no trace to " << path;
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  ASSERT_FALSE(json.empty());
+  for (const char c : json) {
+    ASSERT_TRUE(c == '\n' || (c >= 0x20 && c < 0x7f))
+        << "non-printable byte " << static_cast<int>(static_cast<unsigned char>(c));
+  }
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json[json.find_last_not_of('\n')], ']');
+  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+            std::count(json.begin(), json.end(), '}'));
+  // Exactly one thread_name record, labelled and keyed by a small dense
+  // trace tid (not a pointer-sized one read out of freed memory).
+  const std::string head = R"({"name":"thread_name","ph":"M","pid":0,"tid":)";
+  const std::size_t at = json.find(head);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_EQ(json.find(head, at + 1), std::string::npos) << json;
+  const std::size_t tid_end = json.find(',', at + head.size());
+  ASSERT_NE(tid_end, std::string::npos);
+  const std::string tid = json.substr(at + head.size(), tid_end - at - head.size());
+  ASSERT_FALSE(tid.empty());
+  EXPECT_LE(tid.size(), 4u) << "tid " << tid;
+  EXPECT_EQ(tid.find_first_not_of("0123456789"), std::string::npos) << "tid " << tid;
+  const std::string label = R"(,"args":{"name":"prefetch"}})";
+  EXPECT_EQ(json.compare(tid_end, label.size(), label), 0) << json;
+  // The prefetch thread's span is attributed to that same tid.
+  EXPECT_NE(json.find(R"("name":"prefetch.block","pid":0,"tid":)" + tid + ","),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

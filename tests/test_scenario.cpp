@@ -451,6 +451,24 @@ TEST(ScenarioSweep, ReportDeltasAreCoherent) {
     EXPECT_EQ(sweep.report.rows[0].delta_aep[i], 0.0);
     EXPECT_EQ(sweep.report.rows[0].delta_oep[i], 0.0);
   }
+
+  // Each row reads one partial order of its YLT; every figure must still
+  // equal the core metric's full-sort answer bit for bit.
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const ScenarioRow& row = sweep.report.rows[s];
+    const core::EngineResult& result = sweep.scenarios[s];
+    EXPECT_EQ(row.var_99, core::value_at_risk(result.portfolio_ylt, 0.99)) << row.name;
+    EXPECT_EQ(row.tvar_99, core::tail_value_at_risk(result.portfolio_ylt, 0.99)) << row.name;
+    EXPECT_EQ(row.pml_250, core::probable_maximum_loss(result.portfolio_ylt, 250.0))
+        << row.name;
+    const auto aep = core::exceedance_curve(result.portfolio_ylt, sweep.report.return_periods);
+    const auto oep =
+        core::exceedance_curve(result.portfolio_occurrence_ylt, sweep.report.return_periods);
+    for (std::size_t i = 0; i < aep.size(); ++i) {
+      EXPECT_EQ(row.aep[i], aep[i].loss) << row.name << " AEP point " << i;
+      EXPECT_EQ(row.oep[i], oep[i].loss) << row.name << " OEP point " << i;
+    }
+  }
 }
 
 TEST(ScenarioSweep, RejectsIllFormedSpecs) {

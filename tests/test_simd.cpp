@@ -132,6 +132,7 @@ TEST(SecondarySamplerLanes, MatchesScalarSampleBitwise) {
 
   std::uint64_t fast = 0;
   std::uint64_t tail = 0;
+  std::uint64_t skipped = 0;
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
         std::size_t{17}, std::size_t{63}, std::size_t{64}, std::size_t{65},
@@ -145,9 +146,10 @@ TEST(SecondarySamplerLanes, MatchesScalarSampleBitwise) {
     std::vector<Money> out(n, -1.0);
     const std::uint64_t fast_before = fast;
     const std::uint64_t tail_before = tail;
-    sampler.sample_lanes(engine, hi_key, rows.data(), lo.data(), n, out.data(), fast,
-                         tail);
+    sampler.sample_lanes(engine, hi_key, rows.data(), lo.data(), n, AttachmentCut{},
+                         out.data(), fast, tail, skipped);
     EXPECT_EQ((fast - fast_before) + (tail - tail_before), n) << "n=" << n;
+    EXPECT_EQ(skipped, 0u) << "the default cut kills nothing";
     for (std::size_t i = 0; i < n; ++i) {
       PhiloxStream stream(engine, hi_key, lo[i]);
       const Money scalar = sampler.sample(rows[i], stream);
@@ -166,8 +168,8 @@ TEST(SecondarySamplerLanes, MatchesScalarSampleBitwise) {
     lo[i] = (static_cast<std::uint64_t>(i) << 20) | static_cast<std::uint64_t>(i % 7);
   }
   std::vector<Money> out(n, -1.0);
-  sampler.sample_lanes(engine, hi_key, rows.data(), lo.data(), n, out.data(), fast,
-                       tail);
+  sampler.sample_lanes(engine, hi_key, rows.data(), lo.data(), n, AttachmentCut{},
+                       out.data(), fast, tail, skipped);
   for (std::size_t i = 0; i < n; ++i) {
     PhiloxStream stream(engine, hi_key, lo[i]);
     ASSERT_EQ(out[i], sampler.sample(rows[i], stream)) << "off-mode i=" << i;
@@ -196,9 +198,11 @@ TEST(SecondarySamplerLanes, RejectionHeavyRowsExerciseTheFallback) {
   std::vector<Money> out(n);
   std::uint64_t fast = 0;
   std::uint64_t tail = 0;
-  sampler.sample_lanes(engine, hi_key, rows.data(), lo.data(), n, out.data(), fast,
-                       tail);
+  std::uint64_t skipped = 0;
+  sampler.sample_lanes(engine, hi_key, rows.data(), lo.data(), n, AttachmentCut{},
+                       out.data(), fast, tail, skipped);
   EXPECT_EQ(fast + tail, n);
+  EXPECT_EQ(skipped, 0u);
   EXPECT_GT(tail, 0u) << "high-CV rows should reject some first attempts";
   EXPECT_GT(fast, 0u) << "most first attempts should still accept";
   for (std::size_t i = 0; i < n; ++i) {
