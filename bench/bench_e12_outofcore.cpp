@@ -179,6 +179,7 @@ int main() {
   const StreamedTiming prefetch_seq =
       best_streamed(reps, path, /*prefetch=*/true, w.portfolio, seq);
 
+  const double spin = bench::spin_efficiency();
   const double streamed_ratio = streamed.seconds / inmemory_s;
   const double prefetch_over_sync = prefetch_seq.seconds / sync_seq.seconds;
   // Overlap needs a second hardware thread to run the producer on; a
@@ -227,6 +228,8 @@ int main() {
                                       : "(within the 1-thread overhead bound)")
                     : "(ABOVE the bar)")
             << "; all outputs bit-identical across regimes\n";
+  std::cout << "host spin-test parallel efficiency on " << hw_threads
+            << " thread(s): " << format_fixed(spin, 2) << "\n";
 
   bench::JsonReport json;
   json.set("experiment", std::string("e12_outofcore"));
@@ -243,6 +246,7 @@ int main() {
   json.set("prefetch_over_sync", prefetch_over_sync);
   json.set("overlap_efficiency", overlap_efficiency);
   json.set("hardware_threads", static_cast<std::uint64_t>(hw_threads));
+  json.set("host_spin_efficiency", spin);
   const std::string json_path = bench::artifact_path("BENCH_e12.json");
   json.write(json_path);
   std::cout << "\nwrote " << json_path << "\n";

@@ -56,6 +56,7 @@ int main() {
 
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
   const double thr_speedup = seq.seconds / thr.seconds;
+  const double spin = bench::spin_efficiency();
 
   ReportTable table({"backend", "time", "occurrences/s", "speedup vs sequential"});
   table.add_row({"sequential (1 core)", format_seconds(seq.seconds),
@@ -70,6 +71,8 @@ int main() {
             << " hardware thread(s); backends agree bit-exactly, so the comparison is "
                "apples to apples. The paper's 15x is a many-core GPU figure; riskan has "
                "no GPU backend, so that figure is cited, not reproduced.\n";
+  std::cout << "host spin-test parallel efficiency on " << hw_threads
+            << " thread(s): " << format_fixed(spin, 2) << "\n";
 
   // ---- Resolver: cold vs warm cache on a multi-layer threaded workload.
   // Secondary uncertainty off isolates the lookup path (with it on, beta
@@ -132,6 +135,7 @@ int main() {
   json.set("thr_seconds", thr.seconds);
   json.set("thr_speedup_vs_seq", thr_speedup);
   json.set("hardware_threads", static_cast<std::uint64_t>(hw_threads));
+  json.set("host_spin_efficiency", spin);
   json.set("ablation_trials", static_cast<std::uint64_t>(ab_trials));
   json.set("ablation_layers", static_cast<std::uint64_t>(ab.portfolio.layer_count()));
   json.set("resolver_cold_seconds", cold.seconds);

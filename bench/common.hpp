@@ -4,10 +4,13 @@
 // binary when RISKAN_BENCH_CSV_DIR is set.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "finance/contract.hpp"
 #include "util/format.hpp"
 #include "util/report.hpp"
+#include "util/stopwatch.hpp"
 
 namespace riskan::bench {
 
@@ -108,5 +112,40 @@ class JsonReport {
  private:
   std::vector<std::pair<std::string, std::string>> entries_;
 };
+
+/// Host parallel capacity, read in the same run as a threaded timing: the
+/// same fixed spin loop on one thread, then on every hardware thread at
+/// once; the efficiency is the one-thread time over the all-threads time
+/// (1.0 = every thread ran at full speed). Shared hosts that deliver fewer
+/// cores than they report read well below 1, and a threaded ratio taken
+/// there says more about the host than about the program.
+inline double spin_efficiency() {
+  const auto spin = [] {
+    std::uint64_t x = 88172645463325252ull;
+    for (int i = 0; i < 20'000'000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    return x;
+  };
+  const auto timed = [&spin](unsigned threads) {
+    std::vector<std::uint64_t> sink(threads);
+    Stopwatch watch;
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+      pool.emplace_back([&sink, &spin, t] { sink[t] = spin(); });
+    }
+    for (auto& thread : pool) {
+      thread.join();
+    }
+    const double seconds = watch.seconds();
+    volatile std::uint64_t keep = sink[0];
+    (void)keep;
+    return seconds;
+  };
+  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  return timed(1) / timed(threads);
+}
 
 }  // namespace riskan::bench

@@ -250,7 +250,6 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
   const auto resolution = data::MultiResolution::build(elts, yelt, &cache, resolve_cfg);
 
   std::vector<Money> portfolio_losses(trials, 0.0);
-  std::vector<Money> reinstatement_prem(trials, 0.0);
   std::vector<batch::Slot> slots;
   slots.reserve(portfolio.layer_count());
   for (std::size_t c = 0; c < portfolio.size(); ++c) {
@@ -260,7 +259,6 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
           batch::make_slot(contract, layer, *resolution.entry(c).compact,
                            engine.secondary_uncertainty ? &samplers[c] : nullptr);
       slot.portfolio_losses = portfolio_losses;
-      slot.reinstatement_prem = reinstatement_prem;
       slots.push_back(slot);
     }
   }

@@ -101,26 +101,27 @@ std::vector<Money> run_layer(const finance::Contract& contract, const finance::L
   obs::RunObsScope obs_scope(config.obs);
   obs::Timer timer("engine.run_layer");
 
-  // A one-slot plan over the caller's contract. The resolution is
-  // run-local: a quoted contract's compact columns (~16 MB at 1M trials)
-  // would pile up in any durable cache across a quote stream.
+  // A one-slot plan over the caller's contract, resolved by the one-table
+  // case of the resolver's build and not cached: a quoted contract's
+  // compact columns (~16 MB at 1M trials) would pile up in any durable
+  // cache across a quote stream. The caller reads only the losses, so the
+  // slot has no reinstatement-premium column.
   const ParallelConfig resolve_cfg =
       pool_free(config.backend)
           ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
           : ParallelConfig{config.pool, config.trial_grain};
-  data::ResolverCache local_cache;
-  const auto compact = local_cache.get_or_build_compact(contract.elt(), yelt, resolve_cfg);
+  const data::EventLossTable* const elt[] = {&contract.elt()};
+  const auto compact =
+      std::move(data::CompactResolvedYelt::build(elt, yelt, resolve_cfg).front());
   std::optional<SecondarySampler> sampler;
   if (config.secondary_uncertainty) {
     sampler.emplace(contract.elt());
   }
 
   std::vector<Money> losses(trials, 0.0);
-  std::vector<Money> reinstatement_prem(trials, 0.0);
   batch::Slot slot =
-      batch::make_slot(contract, layer, *compact, sampler ? &*sampler : nullptr);
+      batch::make_slot(contract, layer, compact, sampler ? &*sampler : nullptr);
   slot.portfolio_losses = losses;
-  slot.reinstatement_prem = reinstatement_prem;
 
   const auto plan = exec::ExecutionPlan::lower({&slot, 1}, yelt.offsets(), trials, config);
   exec::execute(plan, Philox4x32(config.seed), config);

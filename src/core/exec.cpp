@@ -140,7 +140,10 @@ void execute(const ExecutionPlan& plan, const Philox4x32& philox, const EngineCo
     stats += range_stats;
   };
   if (threaded) {
-    parallel_for(0, plan.trials, run_range, ParallelConfig{config.pool, config.trial_grain});
+    // Chunks are cut by occurrences (the plan's YELT offsets), so a small
+    // block runs inline or in a few tasks; a set trial_grain is obeyed.
+    parallel_for(0, plan.trials, run_range, ParallelConfig{config.pool, config.trial_grain},
+                 plan.yelt_offsets);
   } else {
     run_range(0, plan.trials);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "core/adaptive/driver.hpp"
 #include "core/batch_simd.hpp"
@@ -47,8 +48,10 @@ inline void finish_slot_trial(const Slot& s, TrialId t, Money annual) {
       s.contract_losses[t] += net;
     }
     s.portfolio_losses[t] += net;
-    s.reinstatement_prem[t] +=
-        s.reinstatements.premium_due(consumed, s.terms.occ_limit, s.upfront_premium);
+    if (!s.reinstatement_prem.empty()) {
+      s.reinstatement_prem[t] +=
+          s.reinstatements.premium_due(consumed, s.terms.occ_limit, s.upfront_premium);
+    }
   }
 }
 
@@ -384,7 +387,9 @@ namespace {
 struct AnalysisRun {
   const finance::Portfolio* portfolio = nullptr;
   std::size_t result_index = 0;
-  data::MultiResolution resolution;  // one entry per contract
+  std::vector<const data::EventLossTable*> elts;  // one per contract
+  std::optional<data::ResolveScratch> scratch;    // streamed sources only
+  data::MultiResolution resolution;               // one entry per contract
   std::vector<SecondarySampler> samplers;
   std::vector<Money> occurrence_accum;  // entries-sized; empty when OEP off
   EngineResult result;
@@ -441,6 +446,15 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
         run.samplers.emplace_back(contract.elt());
       }
     }
+    // The ELT list is block-invariant too. A streamed run resolves every
+    // block through one scratch (the tables' postings and the reused
+    // staging buffers); a resident run has one block and needs none.
+    for (const auto& contract : portfolio.contracts()) {
+      run.elts.push_back(&contract.elt());
+    }
+    if (source.ephemeral_blocks()) {
+      run.scratch.emplace(run.elts);
+    }
   }
 
   const Philox4x32 philox(config.seed);
@@ -458,14 +472,9 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
     // Per-block compact resolution of every contract's ELT, shared through
     // the cache.
     for (AnalysisRun& run : group) {
-      const finance::Portfolio& portfolio = *run.portfolio;
       obs::Timer resolve_timer("engine.resolve");
-      std::vector<const data::EventLossTable*> elts;
-      elts.reserve(portfolio.size());
-      for (const auto& contract : portfolio.contracts()) {
-        elts.push_back(&contract.elt());
-      }
-      run.resolution = data::MultiResolution::build(elts, yelt, &cache, par_cfg);
+      run.resolution = data::MultiResolution::build(
+          run.elts, yelt, &cache, par_cfg, run.scratch ? &*run.scratch : nullptr);
       const double resolve_s = resolve_timer.stop();
       run.result.resolve_seconds += resolve_s;
       resolve_hist.observe(resolve_s);

@@ -94,7 +94,7 @@ struct Slot {
   // Outputs. Spans/pointers belong to this slot's analysis (scenario).
   std::span<Money> contract_losses;     // empty when contract YLTs are off
   std::span<Money> portfolio_losses;
-  std::span<Money> reinstatement_prem;
+  std::span<Money> reinstatement_prem;  // empty when the caller discards it
   Money* occurrence_accum = nullptr;    // per-occurrence OEP scratch; null = off
   Money* conditioned_accum = nullptr;   // per-trial injected-occurrence scratch
 };

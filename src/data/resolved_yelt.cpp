@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "obs/obs.hpp"
+#include "util/page_buffer.hpp"
 #include "util/require.hpp"
 
 namespace riskan::data {
@@ -22,12 +25,6 @@ obs::Counter resolver_hits() {
 obs::Counter resolver_misses() {
   static const obs::Counter c = obs::MetricsRegistry::global().counter("resolver.misses");
   return c;
-}
-
-obs::Histogram resolver_build_seconds() {
-  static const obs::Histogram h =
-      obs::MetricsRegistry::global().histogram("resolver.build_seconds");
-  return h;
 }
 
 }  // namespace
@@ -81,105 +78,270 @@ ResolvedYelt ResolvedYelt::build(const EventLossTable& elt, const YearEventLossT
   return resolved;
 }
 
-CompactResolvedYelt CompactResolvedYelt::build(const EventLossTable& elt,
-                                               const YearEventLossTable& yelt,
-                                               ParallelConfig cfg) {
-  RISKAN_REQUIRE(elt.size() < static_cast<std::size_t>(ResolvedYelt::kNoLoss),
-                 "ELT too large for uint32 row indices");
+namespace {
 
-  CompactResolvedYelt compact;
+constexpr std::uint32_t kNoLoss = ResolvedYelt::kNoLoss;
+static_assert(EventLossTable::kNoRow == kNoLoss);
+
+/// Per-task write cursors of the fused pass: table j's next staged hit goes
+/// to cursor[j][0] (its sequence number) and cursor[j][rows_gap] (its row).
+struct Cursors {
+  std::uint32_t** cursor;
+  std::uint64_t rows_gap;
+};
+
+/// One table with a dense row_lookup — the pricer's quote. Every occurrence
+/// is stored and the cursor advances only on a hit, so the loop has no
+/// data-dependent branch.
+struct OneDenseTable {
+  std::span<const std::uint32_t> lookup;
+
+  void operator()(EventId e, std::uint32_t seq, const Cursors& out) const noexcept {
+    const std::uint32_t row = e < lookup.size() ? lookup[e] : kNoLoss;
+    std::uint32_t*& cur = out.cursor[0];
+    cur[0] = seq;
+    cur[out.rows_gap] = row;
+    cur += row != kNoLoss ? 1 : 0;
+  }
+};
+
+/// Any set of tables, through their postings: each posting is a hit; each
+/// sparse table is searched with find() and stored like the dense case.
+struct PostedTables {
+  std::span<const std::uint32_t> offsets;
+  std::span<const EventPostings::Posting> entries;
+  std::span<const std::uint32_t> sparse;
+  const EventPostings& postings;
+
+  explicit PostedTables(const EventPostings& p)
+      : offsets(p.offsets()), entries(p.entries()), sparse(p.sparse()), postings(p) {}
+
+  void operator()(EventId e, std::uint32_t seq, const Cursors& out) const noexcept {
+    if (e + std::size_t{1} < offsets.size()) {
+      for (std::uint32_t p = offsets[e]; p < offsets[e + 1]; ++p) {
+        std::uint32_t*& cur = out.cursor[entries[p].table];
+        cur[0] = seq;
+        cur[out.rows_gap] = entries[p].row;
+        ++cur;
+      }
+    }
+    for (const std::uint32_t j : sparse) {
+      const std::size_t found = postings.table(j).find(e);
+      const std::uint32_t row =
+          found == EventLossTable::npos ? kNoLoss : static_cast<std::uint32_t>(found);
+      std::uint32_t*& cur = out.cursor[j];
+      cur[0] = seq;
+      cur[out.rows_gap] = row;
+      cur += row != kNoLoss ? 1 : 0;
+    }
+  }
+};
+
+/// Trials [lo, hi) whose hits one fill task staged.
+struct StagedRange {
+  std::size_t lo;
+  std::size_t hi;
+};
+
+}  // namespace
+
+EventPostings::EventPostings(std::span<const EventLossTable* const> elts)
+    : tables_(elts.begin(), elts.end()) {
+  std::size_t span = 0;
+  for (const EventLossTable* elt : elts) {
+    RISKAN_REQUIRE(elt != nullptr, "resolver: null ELT");
+    span = std::max(span, elt->row_lookup().size());
+  }
+  offsets_.assign(span + 1, 0);
+  for (std::uint32_t j = 0; j < elts.size(); ++j) {
+    if (elts[j]->row_lookup().empty()) {
+      sparse_.push_back(j);
+      continue;
+    }
+    for (const EventId e : elts[j]->event_ids()) {
+      ++offsets_[e + 1];
+    }
+  }
+  std::uint64_t total = 0;
+  for (std::size_t e = 0; e < span; ++e) {
+    total += offsets_[e + 1];
+    RISKAN_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
+                   "resolver: too many postings for uint32 offsets");
+    offsets_[e + 1] = static_cast<std::uint32_t>(total);
+  }
+  entries_.resize(offsets_[span]);
+  std::vector<std::uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (std::uint32_t j = 0; j < elts.size(); ++j) {
+    if (elts[j]->row_lookup().empty()) {
+      continue;
+    }
+    const auto ids = elts[j]->event_ids();
+    for (std::uint32_t r = 0; r < ids.size(); ++r) {
+      entries_[next[ids[r]]++] = Posting{j, r};
+    }
+  }
+}
+
+bool EventPostings::built_from(std::span<const EventLossTable* const> elts) const noexcept {
+  return std::equal(tables_.begin(), tables_.end(), elts.begin(), elts.end());
+}
+
+std::uint32_t* ResolveScratch::staging(std::size_t j, std::size_t words) {
+  if (staging_.size() <= j) {
+    staging_.resize(j + 1);
+  }
+  Buffer& buffer = staging_[j];
+  if (buffer.words < words) {
+    buffer.data = util::PageBuffer<std::uint32_t>(words);
+    buffer.words = words;
+  }
+  return buffer.data.data();
+}
+
+std::vector<CompactResolvedYelt> CompactResolvedYelt::build(
+    std::span<const EventLossTable* const> elts, const YearEventLossTable& yelt,
+    ParallelConfig cfg, ResolveScratch* scratch) {
+  static const obs::Histogram build_seconds =
+      obs::MetricsRegistry::global().histogram("resolver.build_seconds");
+  obs::Timer timer("resolver.build");
+  for (const EventLossTable* elt : elts) {
+    RISKAN_REQUIRE(elt != nullptr, "resolver: null ELT");
+    RISKAN_REQUIRE(elt->size() < static_cast<std::size_t>(kNoLoss),
+                   "ELT too large for uint32 row indices");
+  }
+  const std::size_t tables = elts.size();
   const TrialId trials = yelt.trials();
-  compact.trial_offsets_.assign(static_cast<std::size_t>(trials) + 1, 0);
-
   const auto offsets = yelt.offsets();
   const auto events = yelt.events();
+  const std::uint64_t entries = yelt.entries();
 
-  // Both passes look each event up afresh rather than materialising an
-  // occurrence-aligned row column between them: at a typical 10% catalogue
-  // coverage that column would be ~5x the bytes of the compact output.
-  // `row_of` is one of two lookups chosen once per build.
-  const auto passes = [&](const auto& row_of) {
-    // Pass 1: per-trial hit counts, streamed in parallel trial slabs.
-    // Counts land in trial_offsets_[t + 1] so the exclusive prefix sum
-    // below turns the vector into the CSR index in place. Each trial's
-    // sequence numbers must fit the uint32 seqs column; a chunk that finds
-    // one too long throws, and parallel_for rethrows it on the caller.
-    auto* counts = compact.trial_offsets_.data();
-    parallel_for(
-        0, trials,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t t = lo; t < hi; ++t) {
-            RISKAN_REQUIRE(offsets[t + 1] - offsets[t] <=
-                               std::numeric_limits<std::uint32_t>::max(),
-                           "trial too large for uint32 occurrence sequence numbers");
-            std::uint64_t found = 0;
-            for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
-              found += row_of(events[i]) != ResolvedYelt::kNoLoss ? 1 : 0;
-            }
-            counts[t + 1] = found;
-          }
-        },
-        cfg);
-    for (TrialId t = 0; t < trials; ++t) {
-      counts[t + 1] += counts[t];
-    }
-
-    // Pass 2: fill the hit columns. Each trial writes its own CSR range,
-    // so slabs never overlap and the output is scheduling-independent.
-    compact.seqs_.resize(compact.trial_offsets_.back());
-    compact.rows_.resize(compact.trial_offsets_.back());
-    auto* seqs_out = compact.seqs_.data();
-    auto* rows_out = compact.rows_.data();
-    RISKAN_DEBUG_ASSERT_ALIGNED(counts);
-    RISKAN_DEBUG_ASSERT_ALIGNED(seqs_out);
-    RISKAN_DEBUG_ASSERT_ALIGNED(rows_out);
-    parallel_for(
-        0, trials,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t t = lo; t < hi; ++t) {
-            std::uint64_t k = counts[t];
-            const std::uint64_t begin = offsets[t];
-            for (std::uint64_t i = begin; i < offsets[t + 1]; ++i) {
-              const std::uint32_t row = row_of(events[i]);
-              if (row != ResolvedYelt::kNoLoss) {
-                seqs_out[k] = static_cast<std::uint32_t>(i - begin);
-                rows_out[k] = row;
-                ++k;
-              }
-            }
-          }
-        },
-        cfg);
-  };
-
-  // Tables with a dense id range carry an O(1) event→row lookup (the hot
-  // path — out-of-core runs resolve every block); sparse tables
-  // binary-search. Both produce identical row indices.
-  const auto lookup = elt.row_lookup();
-  if (!lookup.empty()) {
-    static_assert(EventLossTable::kNoRow == ResolvedYelt::kNoLoss);
-    passes([lookup](EventId e) {
-      return e < lookup.size() ? lookup[e] : ResolvedYelt::kNoLoss;
-    });
-  } else {
-    passes([&elt](EventId e) {
-      const std::size_t row = elt.find(e);
-      return row == EventLossTable::npos ? ResolvedYelt::kNoLoss
-                                         : static_cast<std::uint32_t>(row);
-    });
+  std::vector<CompactResolvedYelt> out(tables);
+  for (CompactResolvedYelt& compact : out) {
+    compact.trial_offsets_.assign(static_cast<std::size_t>(trials) + 1, 0);
   }
-  return compact;
+  if (tables == 0 || trials == 0) {
+    return out;
+  }
+
+  // Staging: table j stages its hits in a buffer of its own, sequence
+  // numbers at [o, ...) and rows at [entries + o, ...) for a task whose
+  // first occurrence is o. A table hits an occurrence at most once, so a
+  // task never reaches the next task's region. The buffers are
+  // uninitialised PageBuffers made on the calling thread (the scratch's,
+  // or the build's own, released on return): only the pages the staged
+  // hits touch become resident, and no pool worker's heap keeps them.
+  std::vector<util::PageBuffer<std::uint32_t>> owned;
+  std::vector<std::uint32_t*> region(tables);
+  std::vector<std::uint64_t*> counts(tables);
+  for (std::size_t j = 0; j < tables; ++j) {
+    if (scratch != nullptr) {
+      region[j] = scratch->staging(j, 2 * entries);
+    } else {
+      region[j] = owned.emplace_back(2 * entries).data();
+    }
+    counts[j] = out[j].trial_offsets_.data();
+  }
+
+  std::mutex ranges_mutex;
+  std::vector<StagedRange> ranges;
+
+  // The one streamed pass over the event column. Each task records, per
+  // table and trial, the task-local running hit count in trial_offsets_[t +
+  // 1]; each trial's sequence numbers must fit the uint32 seqs column, and
+  // a task that finds one too long throws, which parallel_for rethrows on
+  // the caller.
+  const auto fill = [&](const auto& resolve) {
+    parallel_for(
+        0, trials,
+        [&](std::size_t lo, std::size_t hi) {
+          const std::uint64_t first = offsets[lo] - offsets[0];
+          std::vector<std::uint32_t*> cursor(tables);
+          for (std::size_t j = 0; j < tables; ++j) {
+            cursor[j] = region[j] + first;
+          }
+          const Cursors cursors{cursor.data(), entries};
+          for (std::size_t t = lo; t < hi; ++t) {
+            const std::uint64_t begin = offsets[t];
+            RISKAN_REQUIRE(offsets[t + 1] - begin <= std::numeric_limits<std::uint32_t>::max(),
+                           "trial too large for uint32 occurrence sequence numbers");
+            for (std::uint64_t i = begin; i < offsets[t + 1]; ++i) {
+              resolve(events[i], static_cast<std::uint32_t>(i - begin), cursors);
+            }
+            for (std::size_t j = 0; j < tables; ++j) {
+              counts[j][t + 1] = static_cast<std::uint64_t>(cursor[j] - (region[j] + first));
+            }
+          }
+          const std::lock_guard lock(ranges_mutex);
+          ranges.push_back(StagedRange{lo, hi});
+        },
+        cfg, offsets);
+  };
+  if (tables == 1 && !elts[0]->row_lookup().empty()) {
+    fill(OneDenseTable{elts[0]->row_lookup()});
+  } else if (scratch != nullptr && scratch->postings().built_from(elts)) {
+    fill(PostedTables(scratch->postings()));
+  } else {
+    fill(PostedTables(EventPostings(elts)));
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const StagedRange& a, const StagedRange& b) { return a.lo < b.lo; });
+
+  // Walking the tasks in trial order turns each task's last count global,
+  // so a task's base is the count just before its first trial. Placement
+  // then moves each (table, task) run of staged hits to its base and makes
+  // the task's inner counts global, in one pass cut by hits so a small
+  // block is placed inline. Runs write disjoint ranges, so the columns do
+  // not depend on scheduling.
+  const std::size_t runs = tables * ranges.size();
+  std::vector<std::uint64_t> run_hits(runs + 1, 0);
+  for (std::size_t j = 0; j < tables; ++j) {
+    std::uint64_t* count = counts[j];
+    for (const StagedRange& r : ranges) {
+      count[r.hi] += count[r.lo];
+    }
+    out[j].seqs_.resize(count[trials]);
+    out[j].rows_.resize(count[trials]);
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      run_hits[j * ranges.size() + i] = run_hits[j * ranges.size()] + count[ranges[i].lo];
+    }
+    run_hits[(j + 1) * ranges.size()] = run_hits[j * ranges.size()] + count[trials];
+  }
+  parallel_for(
+      0, runs,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t run = lo; run < hi; ++run) {
+          const std::size_t j = run / ranges.size();
+          const StagedRange& r = ranges[run % ranges.size()];
+          std::uint64_t* count = counts[j];
+          const std::uint64_t base = count[r.lo];
+          const std::uint64_t hits = count[r.hi] - base;
+          const std::uint32_t* staged = region[j] + (offsets[r.lo] - offsets[0]);
+          std::copy_n(staged, hits, out[j].seqs_.data() + base);
+          std::copy_n(staged + entries, hits, out[j].rows_.data() + base);
+          if (base != 0) {
+            for (std::size_t t = r.lo + 1; t < r.hi; ++t) {
+              count[t] += base;
+            }
+          }
+        }
+      },
+      ParallelConfig{cfg.pool, runs == 1 ? std::size_t{1} : cfg.grain}, run_hits);
+  for ([[maybe_unused]] const CompactResolvedYelt& compact : out) {
+    RISKAN_DEBUG_ASSERT_ALIGNED(compact.trial_offsets_.data());
+    RISKAN_DEBUG_ASSERT_ALIGNED(compact.seqs_.data());
+    RISKAN_DEBUG_ASSERT_ALIGNED(compact.rows_.data());
+  }
+  build_seconds.observe(timer.stop());
+  return out;
 }
 
 MultiResolution MultiResolution::build(std::span<const EventLossTable* const> elts,
                                        const YearEventLossTable& yelt, ResolverCache* cache,
-                                       ParallelConfig cfg) {
+                                       ParallelConfig cfg, ResolveScratch* scratch) {
   ResolverCache& resolver = cache ? *cache : ResolverCache::shared();
   MultiResolution set;
-  set.entries_.reserve(elts.size());
-  for (const EventLossTable* elt : elts) {
-    RISKAN_REQUIRE(elt != nullptr, "MultiResolution: null ELT");
-    set.entries_.push_back(Entry{resolver.get_or_build_compact(*elt, yelt, cfg)});
+  for (auto& compact : resolver.get_or_build(elts, yelt, cfg, scratch)) {
+    set.entries_.push_back(Entry{std::move(compact)});
   }
   return set;
 }
@@ -247,31 +409,92 @@ void ResolverCache::evict_locked() {
   }
 }
 
-std::shared_ptr<const CompactResolvedYelt> ResolverCache::get_or_build_compact(
-    const EventLossTable& elt, const YearEventLossTable& yelt, ParallelConfig cfg) {
-  const Key key = make_key(elt, yelt);
+std::vector<std::shared_ptr<const CompactResolvedYelt>> ResolverCache::get_or_build(
+    std::span<const EventLossTable* const> elts, const YearEventLossTable& yelt,
+    ParallelConfig cfg, ResolveScratch* scratch) {
+  std::vector<std::shared_ptr<const CompactResolvedYelt>> out(elts.size());
+  std::vector<Key> keys;
+  keys.reserve(elts.size());
+  for (const EventLossTable* elt : elts) {
+    RISKAN_REQUIRE(elt != nullptr, "resolver: null ELT");
+    keys.push_back(make_key(*elt, yelt));
+  }
+
+  // Misses are the first request of each uncached key; a repeat of a key
+  // in the same request is a hit on that build.
+  std::vector<std::size_t> misses;
+  std::vector<std::size_t> repeats;  // index of the request it repeats, per elt
+  repeats.assign(elts.size(), elts.size());
   {
     std::lock_guard lock(mutex_);
-    for (const Entry& entry : entries_) {
-      if (entry.key == key) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        resolver_hits().add();
-        return entry.compact;
+    for (std::size_t i = 0; i < elts.size(); ++i) {
+      for (const Entry& entry : entries_) {
+        if (entry.key == keys[i]) {
+          out[i] = entry.compact;
+          break;
+        }
+      }
+      if (out[i] != nullptr) {
+        continue;
+      }
+      for (const std::size_t m : misses) {
+        if (keys[m] == keys[i]) {
+          repeats[i] = m;
+          break;
+        }
+      }
+      if (repeats[i] == elts.size()) {
+        misses.push_back(i);
       }
     }
+    // A fused build holds every miss's columns (and their staging) before
+    // any of them is inserted, so room for the largest output the misses
+    // can have is made first: a full cache plus a book in flight would
+    // otherwise exceed the byte bound by the whole book.
+    const std::size_t worst = misses.size() * (static_cast<std::size_t>(yelt.trials()) + 1 +
+                                               static_cast<std::size_t>(yelt.entries())) *
+                              sizeof(std::uint64_t);
+    while (!entries_.empty() && bytes_ + worst > kMaxBytes) {
+      bytes_ -= entries_.front().compact->byte_size();
+      entries_.erase(entries_.begin());
+    }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  resolver_misses().add();
+  const std::size_t hit_count = elts.size() - misses.size();
+  hits_.fetch_add(hit_count, std::memory_order_relaxed);
+  resolver_hits().add(static_cast<double>(hit_count));
+  misses_.fetch_add(misses.size(), std::memory_order_relaxed);
+  resolver_misses().add(static_cast<double>(misses.size()));
+  if (misses.empty()) {
+    return out;
+  }
 
-  // Build outside the lock: a concurrent miss on the same key builds a
-  // duplicate (equivalent) resolution rather than serialising the pool.
-  obs::Timer build_timer("resolver.build");
-  auto built =
-      std::make_shared<const CompactResolvedYelt>(CompactResolvedYelt::build(elt, yelt, cfg));
-  resolver_build_seconds().observe(build_timer.stop());
+  // One fused build for every miss, outside the lock: a concurrent miss on
+  // the same key builds a duplicate (equivalent) resolution rather than
+  // serialising the pool.
+  std::vector<const EventLossTable*> miss_elts;
+  miss_elts.reserve(misses.size());
+  for (const std::size_t m : misses) {
+    miss_elts.push_back(elts[m]);
+  }
+  auto built = CompactResolvedYelt::build(miss_elts, yelt, cfg, scratch);
 
   std::lock_guard lock(mutex_);
-  return insert_locked(key, std::move(built));
+  for (std::size_t b = 0; b < misses.size(); ++b) {
+    out[misses[b]] = insert_locked(
+        keys[misses[b]], std::make_shared<const CompactResolvedYelt>(std::move(built[b])));
+  }
+  for (std::size_t i = 0; i < elts.size(); ++i) {
+    if (repeats[i] != elts.size()) {
+      out[i] = out[repeats[i]];
+    }
+  }
+  return out;
+}
+
+std::shared_ptr<const CompactResolvedYelt> ResolverCache::get_or_build_compact(
+    const EventLossTable& elt, const YearEventLossTable& yelt, ParallelConfig cfg) {
+  const EventLossTable* const one[] = {&elt};
+  return get_or_build(one, yelt, cfg).front();
 }
 
 std::size_t ResolverCache::size() const {

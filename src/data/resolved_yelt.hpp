@@ -9,11 +9,14 @@
 // out of the hot loop into a one-time streamed pre-join.
 //
 // CompactResolvedYelt is the form the engine gathers from: only the hits,
-// CSR-indexed by trial, built straight from the ELT and the YELT event
+// CSR-indexed by trial, built straight from the ELTs and the YELT event
 // column and shared across a contract's layers and runs (ResolverCache).
-// ResolvedYelt — the full occurrence-aligned row column — is kept as the
-// standalone resolution probe (benchmarks time it) and as the reference
-// the compact build is tested against.
+// One build serves every table a request is missing: a single streamed
+// pass over the event column looks each event up once in event → (table,
+// row) postings and stages every table's hits, which are then placed into
+// the compact columns. ResolvedYelt — the full occurrence-aligned row
+// column — is kept as the standalone resolution probe (benchmarks time it)
+// and as the reference the compact build is tested against.
 #pragma once
 
 #include <atomic>
@@ -28,6 +31,7 @@
 #include "data/yelt.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/aligned.hpp"
+#include "util/page_buffer.hpp"
 
 namespace riskan::data {
 
@@ -62,6 +66,61 @@ class ResolvedYelt {
   std::uint64_t hits_ = 0;
 };
 
+/// Event → (table, row) postings of a list of ELTs — the lookup of the
+/// resolver's fused build. Every table with a dense row_lookup() is posted
+/// (its lookup inverted: event ids[r] posts (table, r)); tables without one
+/// (sparse id ranges) are listed and searched with find(). Postings depend
+/// only on the tables, so a streamed run builds them once (ResolveScratch)
+/// and every block reuses them.
+class EventPostings {
+ public:
+  struct Posting {
+    std::uint32_t table;
+    std::uint32_t row;
+  };
+
+  explicit EventPostings(std::span<const EventLossTable* const> elts);
+
+  /// Whether these postings were built from exactly `elts`, in order.
+  bool built_from(std::span<const EventLossTable* const> elts) const noexcept;
+
+  /// Postings of event e: entries()[offsets()[e] .. offsets()[e + 1]), for
+  /// e < offsets().size() - 1.
+  std::span<const std::uint32_t> offsets() const noexcept { return offsets_; }
+  std::span<const Posting> entries() const noexcept { return entries_; }
+  /// Indices of the tables that are searched rather than posted.
+  std::span<const std::uint32_t> sparse() const noexcept { return sparse_; }
+  const EventLossTable& table(std::size_t j) const { return *tables_[j]; }
+
+ private:
+  std::vector<const EventLossTable*> tables_;
+  std::vector<std::uint32_t> offsets_;
+  std::vector<Posting> entries_;
+  std::vector<std::uint32_t> sparse_;
+};
+
+/// What a run keeps across the fused builds of its blocks, so a streamed
+/// pass does not redo per-block setup: the postings of its tables (they
+/// depend only on the tables) and the staging buffers (reused, since a
+/// fresh buffer faults in every page the block's hits touch). The buffers
+/// live until the scratch is dropped.
+class ResolveScratch {
+ public:
+  explicit ResolveScratch(std::span<const EventLossTable* const> elts) : postings_(elts) {}
+
+  const EventPostings& postings() const noexcept { return postings_; }
+  /// Staging buffer `j`, at least `words` long (grown, never shrunk).
+  std::uint32_t* staging(std::size_t j, std::size_t words);
+
+ private:
+  struct Buffer {
+    util::PageBuffer<std::uint32_t> data;
+    std::size_t words = 0;
+  };
+  EventPostings postings_;
+  std::vector<Buffer> staging_;
+};
+
 /// Hit-compacted resolution — the SoA gather input of the stage-2 kernel.
 ///
 /// A ResolvedYelt carries one slot per YELT occurrence, most of which are
@@ -81,15 +140,31 @@ class CompactResolvedYelt {
  public:
   CompactResolvedYelt() = default;
 
-  /// Resolves `yelt`'s occurrences against `elt` straight into hit columns:
-  /// two streamed passes over the event column (count, fill), parallel over
-  /// trial slabs, each looking events up through elt.row_lookup() when the
-  /// table has one and elt.find() otherwise. No occurrence-aligned column
-  /// is materialised. Every output slot is written independently of
-  /// scheduling, so the build is deterministic, and it equals compacting
-  /// ResolvedYelt::build(elt, yelt) hit for hit.
-  static CompactResolvedYelt build(const EventLossTable& elt, const YearEventLossTable& yelt,
-                                   ParallelConfig cfg = {});
+  /// Resolves `yelt`'s occurrences against every table of `elts` at once,
+  /// straight into hit columns; entry j of the result is table j's
+  /// resolution and equals compacting ResolvedYelt::build(*elts[j], yelt)
+  /// hit for hit.
+  ///
+  /// One streamed pass over the event column serves every table through
+  /// EventPostings, so each occurrence costs one postings probe however
+  /// many tables there are. A single dense table skips the postings: every
+  /// occurrence is stored and the write cursor advances only on a hit, so
+  /// that loop has no data-dependent branch. A caller's `scratch` lends its
+  /// staging buffers, and its postings when they were built from exactly
+  /// `elts`.
+  ///
+  /// The pass runs on the weighted parallel_for over the YELT's offsets(),
+  /// so a small block resolves inline or in a few tasks. Each task stages
+  /// its hits in uninitialised per-table buffers made on the calling
+  /// thread (2 x entries words of address space per table, of which only
+  /// the staged hits' pages are touched): the scratch's, or the build's own
+  /// released on return. A second step places each task's hits at its CSR
+  /// base. Every output slot is written independently of scheduling, so
+  /// the build is deterministic under any cfg.
+  static std::vector<CompactResolvedYelt> build(std::span<const EventLossTable* const> elts,
+                                                const YearEventLossTable& yelt,
+                                                ParallelConfig cfg = {},
+                                                ResolveScratch* scratch = nullptr);
 
   /// CSR index: hits of trial t live in [trial_offsets()[t], trial_offsets()[t+1]).
   std::span<const std::uint64_t> trial_offsets() const noexcept { return trial_offsets_; }
@@ -131,10 +206,12 @@ class MultiResolution {
   MultiResolution() = default;
 
   /// Resolves every ELT in `elts` against `yelt` through `cache` (nullptr =
-  /// ResolverCache::shared()). Order of entries follows `elts`.
+  /// ResolverCache::shared()), building all of the cache's misses in one
+  /// fused pass (with `scratch`, when given). Order of entries follows
+  /// `elts`.
   static MultiResolution build(std::span<const EventLossTable* const> elts,
                                const YearEventLossTable& yelt, ResolverCache* cache,
-                               ParallelConfig cfg = {});
+                               ParallelConfig cfg = {}, ResolveScratch* scratch = nullptr);
 
   const Entry& entry(std::size_t i) const { return entries_[i]; }
   std::size_t size() const noexcept { return entries_.size(); }
@@ -153,6 +230,10 @@ class MultiResolution {
 /// or kMaxBytes of retained columns — the byte bound is what matters
 /// for long-lived processes that resolve many distinct large workloads,
 /// since cached resolutions can outlive the tables they were built from.
+/// Before building a request's misses, the cache also evicts until the
+/// largest output those misses can have (every occurrence a hit) fits
+/// under kMaxBytes, so a build in flight does not carry the process past
+/// the bound.
 class ResolverCache {
  public:
   /// Entries retained before FIFO eviction kicks in.
@@ -165,9 +246,16 @@ class ResolverCache {
   ResolverCache(const ResolverCache&) = delete;
   ResolverCache& operator=(const ResolverCache&) = delete;
 
-  /// Returns the cached compact resolution for (elt, yelt), building it
-  /// (CompactResolvedYelt::build) on miss. Thread-safe; concurrent misses on
-  /// the same key may build twice but return equivalent resolutions.
+  /// Returns the cached compact resolution of each of `elts` against
+  /// `yelt`, in order, building every miss in one CompactResolvedYelt::build.
+  /// A table requested twice is built once (the repeat counts as a hit).
+  /// `scratch` is lent to the build. Thread-safe; concurrent misses on the
+  /// same key may build twice but return equivalent resolutions.
+  std::vector<std::shared_ptr<const CompactResolvedYelt>> get_or_build(
+      std::span<const EventLossTable* const> elts, const YearEventLossTable& yelt,
+      ParallelConfig cfg = {}, ResolveScratch* scratch = nullptr);
+
+  /// get_or_build of one table.
   std::shared_ptr<const CompactResolvedYelt> get_or_build_compact(
       const EventLossTable& elt, const YearEventLossTable& yelt, ParallelConfig cfg = {});
 

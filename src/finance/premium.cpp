@@ -1,7 +1,7 @@
 #include "finance/premium.hpp"
 
 #include <cmath>
-#include <vector>
+#include <cstdint>
 
 #include "util/require.hpp"
 #include "util/stats.hpp"
@@ -25,17 +25,24 @@ double rate_on_line(Money premium, Money occ_limit) {
 
 LossStatistics summarise_losses(std::span<const Money> trial_losses) {
   RISKAN_REQUIRE(!trial_losses.empty(), "cannot summarise an empty loss sample");
-  OnlineStats stats;
+  // Welford's update in trial order: OnlineStats::add's operations on the
+  // two fields read here (mean and M2), inline, so the figures match it bit
+  // for bit.
+  double mean = 0.0;
+  double m2 = 0.0;
+  std::uint64_t count = 0;
   for (const Money loss : trial_losses) {
-    stats.add(loss);
+    ++count;
+    const double delta = loss - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (loss - mean);
   }
-  std::vector<double> tail(trial_losses.begin(), trial_losses.end());
-  sort_upper_tail(tail, 0.99);
+  const UpperTail tail(trial_losses, 0.99);
   LossStatistics out;
-  out.expected_loss = stats.mean();
-  out.loss_stdev = std::sqrt(stats.sample_variance());
-  out.tvar_99 = tail_mean_above(tail, 0.99);
-  out.pml_250 = quantile_sorted(tail, 1.0 - 1.0 / 250.0);
+  out.expected_loss = mean;
+  out.loss_stdev = std::sqrt(count < 2 ? 0.0 : m2 / static_cast<double>(count - 1));
+  out.tvar_99 = tail.tail_mean_above(0.99);
+  out.pml_250 = tail.quantile(1.0 - 1.0 / 250.0);
   return out;
 }
 

@@ -38,9 +38,10 @@ Money technical_premium(const LossStatistics& stats, const PricingTerms& terms);
 /// catastrophe capacity.
 double rate_on_line(Money premium, Money occ_limit);
 
-/// Computes LossStatistics from a simulated per-trial loss sample. Both tail
-/// reads come off one partial order of a copy (sort_upper_tail at 0.99), and
-/// match a full sort bit for bit.
+/// Computes LossStatistics from a simulated per-trial loss sample. The mean
+/// and deviation are OnlineStats's Welford figures; both tail reads come off
+/// one UpperTail at 0.99 (a pivot-filtered selection, no copy of the
+/// sample), and match a full sort bit for bit.
 LossStatistics summarise_losses(std::span<const Money> trial_losses);
 
 }  // namespace riskan::finance

@@ -5,13 +5,22 @@
 // discussion: each task touches a contiguous slab of the columnar tables, so
 // memory is streamed, not random-accessed. Grain size is an explicit
 // parameter so bench_e4_chunking can sweep it.
+//
+// Ranges whose indices carry unequal work (YELT trials, whose occurrence
+// counts vary) take the weighted parallel_for overload: the caller passes
+// the work prefix it already holds (a YELT's offsets()), and the library
+// cuts chunks of near-equal work, none below kMinTaskWork, so a small
+// block runs inline or in a few tasks instead of in many tiny ones.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -23,9 +32,17 @@ struct ParallelConfig {
   /// Pool to run on; nullptr means ThreadPool::shared().
   ThreadPool* pool = nullptr;
   /// Indices per task; 0 lets the library pick (range / (8 * threads),
-  /// clamped to at least 1).
+  /// clamped to at least 1; by work for the weighted overload).
   std::size_t grain = 0;
 };
+
+/// Least work (in the prefix's units: YELT occurrences) the weighted
+/// parallel_for gives one task when it picks the chunking. A task hand-off
+/// costs a few microseconds, about what the resolver's fused pass spends on
+/// a thousand occurrences of a multi-contract book; the trial kernel spends
+/// far more per occurrence. A 312-trial block of ~3,000 occurrences thus
+/// runs in a few tasks, not in dozens of 9-trial ones.
+inline constexpr std::uint64_t kMinTaskWork = 1024;
 
 namespace detail {
 
@@ -81,6 +98,20 @@ class TaskGate {
   std::exception_ptr error_;
 };
 
+/// Submits body(cuts[c], cuts[c + 1]) for every chunk c to `pool` and
+/// waits for all of them, rethrowing the first chunk exception.
+template <typename Body>
+void run_chunks(ThreadPool& pool, std::span<const std::size_t> cuts, const Body& body) {
+  const std::size_t chunks = cuts.size() - 1;
+  TaskGate gate(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t lo = cuts[c];
+    const std::size_t hi = cuts[c + 1];
+    pool.submit([&body, &gate, lo, hi] { gate.run([&] { body(lo, hi); }); });
+  }
+  gate.wait();
+}
+
 }  // namespace detail
 
 /// Runs body(chunk_begin, chunk_end) for consecutive chunks of [begin, end).
@@ -109,14 +140,71 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
     return;
   }
 
-  const std::size_t chunks = (range + grain - 1) / grain;
-  detail::TaskGate gate(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * grain;
-    const std::size_t hi = std::min(end, lo + grain);
-    pool.submit([&body, &gate, lo, hi] { gate.run([&] { body(lo, hi); }); });
+  std::vector<std::size_t> cuts;
+  cuts.reserve((range + grain - 1) / grain + 1);
+  for (std::size_t lo = begin; lo < end; lo += grain) {
+    cuts.push_back(lo);
   }
-  gate.wait();
+  cuts.push_back(end);
+  detail::run_chunks(pool, cuts, body);
+}
+
+/// parallel_for over indices of unequal work. `work_prefix[i]` is the work
+/// before index i (a YELT's offsets(): occurrences before trial i), so index
+/// i weighs work_prefix[i + 1] - work_prefix[i]; the prefix must reach
+/// index `end`. A set cfg.grain is obeyed exactly, as in the unweighted
+/// overload. Otherwise the library cuts at most 8 x threads chunks of
+/// near-equal work and none below kMinTaskWork: a range holding less than
+/// twice that runs inline on the caller without touching any pool.
+template <typename Body>
+void parallel_for(std::size_t begin, std::size_t end, const Body& body, ParallelConfig cfg,
+                  std::span<const std::uint64_t> work_prefix) {
+  if (cfg.grain > 0) {
+    parallel_for(begin, end, body, cfg);
+    return;
+  }
+  RISKAN_REQUIRE(begin <= end, "parallel_for range is inverted");
+  if (begin == end) {
+    return;
+  }
+  RISKAN_REQUIRE(end < work_prefix.size() && work_prefix[begin] <= work_prefix[end],
+                 "parallel_for work prefix must be non-decreasing over the range");
+  const std::uint64_t first = work_prefix[begin];
+  const std::uint64_t total = work_prefix[end] - first;
+  if (total / kMinTaskWork <= 1) {
+    body(begin, end);
+    return;
+  }
+  ThreadPool& pool = cfg.pool ? *cfg.pool : ThreadPool::shared();
+  const std::size_t chunks = std::min<std::uint64_t>(
+      {total / kMinTaskWork, 8 * std::uint64_t{pool.thread_count()}, end - begin});
+  if (chunks <= 1 || pool.thread_count() == 1) {
+    body(begin, end);
+    return;
+  }
+
+  // Chunk c ends at the first index whose prefix reaches c/chunks of the
+  // work; an index heavier than a share absorbs the cuts that land in it.
+  std::vector<std::size_t> cuts{begin};
+  for (std::size_t c = 1; c < chunks; ++c) {
+    const std::uint64_t target = first + total / chunks * c + total % chunks * c / chunks;
+    if (work_prefix[cuts.back()] >= target) {
+      continue;  // the last chunk already holds this share
+    }
+    const auto from = work_prefix.begin() + static_cast<std::ptrdiff_t>(cuts.back() + 1);
+    const auto to = work_prefix.begin() + static_cast<std::ptrdiff_t>(end);
+    const auto cut =
+        static_cast<std::size_t>(std::lower_bound(from, to, target) - work_prefix.begin());
+    if (cut < end) {
+      cuts.push_back(cut);
+    }
+  }
+  cuts.push_back(end);
+  if (cuts.size() == 2) {
+    body(begin, end);
+    return;
+  }
+  detail::run_chunks(pool, cuts, body);
 }
 
 /// Parallel reduction: `chunk_fn(lo, hi)` produces a partial of type T for

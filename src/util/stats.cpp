@@ -62,31 +62,50 @@ double quantile(std::span<const double> values, double p) {
   return quantile_sorted(copy, p);
 }
 
+namespace {
+
+/// Type-7 quantile of a sorted sample of n values read through `at(i)` —
+/// the one formula behind quantile_sorted and UpperTail::quantile.
+template <typename At>
+double quantile_at(std::size_t n, double p, const At& at) {
+  if (n == 1) {
+    return at(0);
+  }
+  const double h = p * static_cast<double>(n - 1);
+  const auto idx = static_cast<std::size_t>(h);
+  if (idx + 1 >= n) {
+    return at(n - 1);
+  }
+  const double frac = h - static_cast<double>(idx);
+  return at(idx) + frac * (at(idx + 1) - at(idx));
+}
+
+/// Mean of the values above the level-p quantile, summed from the largest
+/// down; `lowest` is the lowest rank `at` can read.
+template <typename At>
+double tail_mean_at(std::size_t n, double p, std::size_t lowest, const At& at) {
+  const double var = quantile_at(n, p, at);
+  double sum = 0.0;
+  std::size_t count = 0;
+  for (std::size_t i = n; i > lowest && at(i - 1) > var; --i) {
+    sum += at(i - 1);
+    ++count;
+  }
+  return count == 0 ? var : sum / static_cast<double>(count);
+}
+
+}  // namespace
+
 double quantile_sorted(std::span<const double> sorted, double p) {
   RISKAN_REQUIRE(!sorted.empty(), "quantile of empty sample");
   RISKAN_REQUIRE(p >= 0.0 && p <= 1.0, "quantile level must lie in [0,1]");
-  if (sorted.size() == 1) {
-    return sorted[0];
-  }
-  const double h = p * static_cast<double>(sorted.size() - 1);
-  const auto idx = static_cast<std::size_t>(h);
-  if (idx + 1 >= sorted.size()) {
-    return sorted.back();
-  }
-  const double frac = h - static_cast<double>(idx);
-  return sorted[idx] + frac * (sorted[idx + 1] - sorted[idx]);
+  return quantile_at(sorted.size(), p, [sorted](std::size_t i) { return sorted[i]; });
 }
 
 double tail_mean_above(std::span<const double> sorted, double p) {
   RISKAN_REQUIRE(!sorted.empty(), "tail_mean_above of empty sample");
-  const double var = quantile_sorted(sorted, p);
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (auto it = sorted.rbegin(); it != sorted.rend() && *it > var; ++it) {
-    sum += *it;
-    ++n;
-  }
-  return n == 0 ? var : sum / static_cast<double>(n);
+  RISKAN_REQUIRE(p >= 0.0 && p <= 1.0, "quantile level must lie in [0,1]");
+  return tail_mean_at(sorted.size(), p, 0, [sorted](std::size_t i) { return sorted[i]; });
 }
 
 void sort_upper_tail(std::span<double> values, double p) {
@@ -100,6 +119,61 @@ void sort_upper_tail(std::span<double> values, double p) {
                                           p * static_cast<double>(values.size() - 1));
   std::nth_element(values.begin(), first, values.end());
   std::sort(first, values.end());
+}
+
+UpperTail::UpperTail(std::span<const double> values, double p)
+    : n_(values.size()), level_(p) {
+  RISKAN_REQUIRE(!values.empty(), "upper tail of empty sample");
+  RISKAN_REQUIRE(p >= 0.0 && p <= 1.0, "tail level must lie in [0,1]");
+  first_ = static_cast<std::size_t>(p * static_cast<double>(n_ - 1));
+  const std::size_t needed = n_ - first_;
+
+  // Strided sample of about kSample values; the pivot is the sample value
+  // with about twice the needed share (plus slack) at or above it.
+  constexpr std::size_t kSample = 4096;
+  constexpr std::size_t kSlack = 16;
+  if (n_ >= 4 * kSample) {
+    const std::size_t stride = n_ / kSample;
+    std::vector<double> sample;
+    sample.reserve(n_ / stride + 1);
+    for (std::size_t i = 0; i < n_; i += stride) {
+      sample.push_back(values[i]);
+    }
+    const std::size_t share = (needed * sample.size() + n_ - 1) / n_;
+    const std::size_t above = std::min(sample.size(), 2 * share + kSlack);
+    const auto pivot_at = sample.begin() + static_cast<std::ptrdiff_t>(sample.size() - above);
+    std::nth_element(sample.begin(), pivot_at, sample.end());
+    const double pivot = *pivot_at;
+
+    top_.reserve(2 * above * stride);
+    for (const double v : values) {
+      if (v >= pivot) {
+        top_.push_back(v);
+      }
+    }
+    // Every value below the pivot is below every candidate, so the needed
+    // ranks are the largest candidates once there are enough of them.
+    if (top_.size() >= needed) {
+      const auto from = top_.end() - static_cast<std::ptrdiff_t>(needed);
+      std::nth_element(top_.begin(), from, top_.end());
+      top_.erase(top_.begin(), from);
+      std::sort(top_.begin(), top_.end());
+      return;
+    }
+  }
+  top_.assign(values.begin(), values.end());
+  sort_upper_tail(top_, p);
+  top_.erase(top_.begin(), top_.begin() + static_cast<std::ptrdiff_t>(first_));
+}
+
+double UpperTail::quantile(double q) const {
+  RISKAN_REQUIRE(q >= level_ && q <= 1.0, "upper-tail quantile below the selected level");
+  return quantile_at(n_, q, [this](std::size_t i) { return top_[i - first_]; });
+}
+
+double UpperTail::tail_mean_above(double q) const {
+  RISKAN_REQUIRE(q >= level_ && q <= 1.0, "upper-tail mean below the selected level");
+  return tail_mean_at(n_, q, first_, [this](std::size_t i) { return top_[i - first_]; });
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), counts_(bins, 0) {

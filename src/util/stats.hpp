@@ -55,6 +55,35 @@ double tail_mean_above(std::span<const double> sorted, double p);
 /// tail instead of a full sort.
 void sort_upper_tail(std::span<double> values, double p);
 
+/// The upper order statistics of a sample, selected without copying or
+/// ordering the whole sample: the values of rank floor(p·(n−1)) and up,
+/// sorted ascending. At any level q >= p, quantile(q) and
+/// tail_mean_above(q) return quantile_sorted and tail_mean_above of the
+/// fully sorted sample, bit for bit (for samples without NaN or -0.0).
+///
+/// The selection keeps the values at or above a pivot: a quantile of a
+/// deterministic strided sample, placed so that about twice the needed
+/// count qualifies. Only those candidates are ordered. When fewer than
+/// needed qualify (a sample whose pivot overshoots) or the sample is
+/// small, it falls back to sort_upper_tail over a full copy.
+class UpperTail {
+ public:
+  UpperTail(std::span<const double> values, double p);
+
+  double quantile(double q) const;
+  double tail_mean_above(double q) const;
+
+  /// Ranks first() .. n - 1 of the sorted sample.
+  std::span<const double> sorted() const noexcept { return top_; }
+  std::size_t first() const noexcept { return first_; }
+
+ private:
+  std::size_t n_ = 0;
+  std::size_t first_ = 0;
+  double level_ = 0.0;
+  std::vector<double> top_;
+};
+
 /// Fixed-width histogram for diagnostics and distribution shape tests.
 class Histogram {
  public:

@@ -40,10 +40,12 @@ World make_world(TrialId trials = 300) {
   yg.trials = trials;
   yg.seed = 5;
   World w{finance::generate_portfolio(pg), data::generate_yelt(200, yg), {}, {}};
+  std::vector<const data::EventLossTable*> elts;
   for (const auto& contract : w.portfolio.contracts()) {
-    w.compacts.push_back(data::CompactResolvedYelt::build(contract.elt(), w.yelt));
+    elts.push_back(&contract.elt());
     w.samplers.emplace_back(contract.elt());
   }
+  w.compacts = data::CompactResolvedYelt::build(elts, w.yelt);
   return w;
 }
 
@@ -319,10 +321,11 @@ TEST(Execute, RebindPerBlockMatchesOneWholeRun) {
     std::optional<ExecutionPlan> plan;
     TrialId base = 0;
     for (const auto& block : blocks) {
-      std::vector<data::CompactResolvedYelt> compacts;
+      std::vector<const data::EventLossTable*> elts;
       for (const auto& contract : w.portfolio.contracts()) {
-        compacts.push_back(data::CompactResolvedYelt::build(contract.elt(), block));
+        elts.push_back(&contract.elt());
       }
+      const auto compacts = data::CompactResolvedYelt::build(elts, block);
       auto set = make_slots(w, compacts, block.trials(), config.secondary_uncertainty);
       if (!plan) {
         plan = ExecutionPlan::lower(set.slots, block.offsets(), block.trials(), config);

@@ -1,12 +1,18 @@
 // Financial terms algebra, contracts/portfolios, premium formulas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "finance/contract.hpp"
 #include "finance/premium.hpp"
 #include "finance/terms.hpp"
+#include "util/prng.hpp"
 #include "util/require.hpp"
+#include "util/stats.hpp"
 
 namespace riskan::finance {
 namespace {
@@ -218,6 +224,46 @@ TEST(Premium, SummariseLosses) {
   EXPECT_NEAR(stats.pml_250, 0.996 * 999.0, 1e-9);  // type-7 99.6% quantile
   EXPECT_GT(stats.loss_stdev, 0.0);
   EXPECT_THROW(summarise_losses({}), ContractViolation);
+}
+
+/// summarise_losses as it was defined before the selection: OnlineStats
+/// over the sample and both tail reads off a full sort.
+LossStatistics reference_summary(std::span<const Money> losses) {
+  OnlineStats stats;
+  for (const Money loss : losses) {
+    stats.add(loss);
+  }
+  std::vector<double> sorted(losses.begin(), losses.end());
+  std::sort(sorted.begin(), sorted.end());
+  LossStatistics out;
+  out.expected_loss = stats.mean();
+  out.loss_stdev = std::sqrt(stats.sample_variance());
+  out.tvar_99 = tail_mean_above(sorted, 0.99);
+  out.pml_250 = quantile_sorted(sorted, 1.0 - 1.0 / 250.0);
+  return out;
+}
+
+TEST(Premium, SummariseLossesMatchesTheSortBasedReferenceBitForBit) {
+  // Layer-shaped samples: mostly no-loss years, a capped tail with ties at
+  // the limit, at sizes on both sides of the selection's threshold.
+  Xoshiro256ss rng(2012);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{1'000},
+                              std::size_t{20'000}, std::size_t{250'000}}) {
+    for (const double no_loss : {0.0, 0.7, 0.995, 1.0}) {
+      std::vector<Money> losses(n);
+      for (Money& loss : losses) {
+        const double u = to_unit_double(rng());
+        loss = u < no_loss ? 0.0 : std::min(6e7, -std::log1p(-u) * 1.5e7);
+      }
+      const auto got = summarise_losses(losses);
+      const auto want = reference_summary(losses);
+      const std::string what = "n=" + std::to_string(n) + " no_loss=" + std::to_string(no_loss);
+      EXPECT_EQ(got.expected_loss, want.expected_loss) << what;
+      EXPECT_EQ(got.loss_stdev, want.loss_stdev) << what;
+      EXPECT_EQ(got.tvar_99, want.tvar_99) << what;
+      EXPECT_EQ(got.pml_250, want.pml_250) << what;
+    }
+  }
 }
 
 TEST(Premium, MoreVolatilityCostsMore) {

@@ -1,7 +1,10 @@
 // Thread pool, parallel_for/reduce and the SPSC queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -154,6 +157,135 @@ TEST(ParallelFor, BodyExceptionPropagatesToCaller) {
       0, 8, [&](std::size_t lo, std::size_t hi) { after.fetch_add(static_cast<int>(hi - lo)); },
       ParallelConfig{&pool, 1});
   EXPECT_EQ(after.load(), 8);
+}
+
+/// Work prefix of `weights`: prefix[i] is the work before index i.
+std::vector<std::uint64_t> work_prefix(const std::vector<std::uint64_t>& weights) {
+  std::vector<std::uint64_t> prefix(weights.size() + 1, 0);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    prefix[i + 1] = prefix[i] + weights[i];
+  }
+  return prefix;
+}
+
+/// The chunks a weighted parallel_for ran, sorted by start.
+std::vector<std::pair<std::size_t, std::size_t>> weighted_chunks(
+    std::size_t begin, std::size_t end, const std::vector<std::uint64_t>& prefix,
+    ParallelConfig cfg) {
+  std::mutex m;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  parallel_for(
+      begin, end,
+      [&](std::size_t lo, std::size_t hi) {
+        std::lock_guard lock(m);
+        chunks.emplace_back(lo, hi);
+      },
+      cfg, prefix);
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
+void expect_exact_cover(const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
+                        std::size_t begin, std::size_t end) {
+  ASSERT_FALSE(chunks.empty());
+  EXPECT_EQ(chunks.front().first, begin);
+  EXPECT_EQ(chunks.back().second, end);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    EXPECT_LT(chunks[c].first, chunks[c].second) << "chunk " << c << " is empty";
+    if (c > 0) {
+      EXPECT_EQ(chunks[c].first, chunks[c - 1].second) << "gap or overlap at chunk " << c;
+    }
+  }
+}
+
+TEST(ParallelForWeighted, SmallWorkRunsInlineOnCaller) {
+  // Under two floors of work runs inline on the caller; a 312-trial block
+  // of 10 occurrences a trial (3,120) runs in a handful of tasks.
+  ThreadPool pool(4);
+  const auto small = work_prefix(std::vector<std::uint64_t>(100, (2 * kMinTaskWork - 1) / 100));
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  bool on_caller = false;
+  parallel_for(
+      0, 100,
+      [&](std::size_t lo, std::size_t hi) {
+        ++calls;
+        on_caller = std::this_thread::get_id() == caller;
+        EXPECT_EQ(lo, 0u);
+        EXPECT_EQ(hi, 100u);
+      },
+      ParallelConfig{&pool, 0}, small);
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(on_caller);
+
+  const auto block = work_prefix(std::vector<std::uint64_t>(312, 10));
+  const auto chunks = weighted_chunks(0, 312, block, ParallelConfig{&pool, 0});
+  expect_exact_cover(chunks, 0, 312);
+  EXPECT_LE(chunks.size(), 3'120 / kMinTaskWork);
+  EXPECT_GT(chunks.size(), 1u);
+}
+
+TEST(ParallelForWeighted, ChunksCarryNearEqualWork) {
+  // Trials of very unequal size: the cuts follow occurrences, not indices.
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> weights(1'000);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = i % 10 == 0 ? 400 : 1;
+  }
+  const auto prefix = work_prefix(weights);
+  const auto chunks = weighted_chunks(0, weights.size(), prefix, ParallelConfig{&pool, 0});
+  expect_exact_cover(chunks, 0, weights.size());
+  EXPECT_LE(chunks.size(), 8 * pool.thread_count());
+  const double share = static_cast<double>(prefix.back()) / static_cast<double>(chunks.size());
+  for (const auto& [lo, hi] : chunks) {
+    const auto work = static_cast<double>(prefix[hi] - prefix[lo]);
+    EXPECT_LT(work, share + 401.0) << lo << ".." << hi;
+  }
+}
+
+TEST(ParallelForWeighted, HeavyIndexAbsorbsCuts) {
+  // One index holds nearly all the work: cuts landing inside it collapse,
+  // and no chunk is empty.
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> weights(50, 1);
+  weights[20] = 100 * kMinTaskWork;
+  const auto chunks = weighted_chunks(5, 50, work_prefix(weights), ParallelConfig{&pool, 0});
+  expect_exact_cover(chunks, 5, 50);
+  EXPECT_LE(chunks.size(), 3u);
+}
+
+TEST(ParallelForWeighted, SetGrainIsObeyedExactly) {
+  ThreadPool pool(4);
+  const auto prefix = work_prefix(std::vector<std::uint64_t>(50, kMinTaskWork));
+  const auto chunks = weighted_chunks(0, 50, prefix, ParallelConfig{&pool, 7});
+  ASSERT_EQ(chunks.size(), 8u);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    EXPECT_EQ(chunks[c].first, 7 * c);
+    EXPECT_EQ(chunks[c].second, std::min<std::size_t>(50, 7 * c + 7));
+  }
+}
+
+TEST(ParallelForWeighted, ChunkExceptionReachesCaller) {
+  ThreadPool pool(4);
+  const auto prefix = work_prefix(std::vector<std::uint64_t>(400, kMinTaskWork));
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for(
+                   0, 400,
+                   [&](std::size_t lo, std::size_t) {
+                     ran.fetch_add(1);
+                     if (lo == 0) {
+                       throw std::runtime_error("chunk failed");
+                     }
+                   },
+                   ParallelConfig{&pool, 0}, prefix),
+               std::runtime_error);
+  EXPECT_GT(ran.load(), 1);  // the other chunks still ran
+}
+
+TEST(ParallelForWeighted, PrefixMustCoverTheRange) {
+  const std::vector<std::uint64_t> prefix{0, 1, 2};
+  EXPECT_THROW(parallel_for(0, 3, [](std::size_t, std::size_t) {}, ParallelConfig{}, prefix),
+               ContractViolation);
 }
 
 TEST(ParallelReduce, ChunkExceptionPropagatesToCaller) {

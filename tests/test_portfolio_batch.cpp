@@ -345,7 +345,8 @@ void expect_direct_build_matches_compaction(const EventLossTable& elt,
                                             const std::string& what) {
   const auto resolved = ResolvedYelt::build(elt, yelt);
   const auto expected = compact_of(resolved, yelt);
-  const auto compact = CompactResolvedYelt::build(elt, yelt);
+  const EventLossTable* const one[] = {&elt};
+  const auto compact = std::move(CompactResolvedYelt::build(one, yelt).front());
 
   ASSERT_EQ(compact.trials(), yelt.trials()) << what;
   EXPECT_EQ(compact.hits(), resolved.hits()) << what;
@@ -417,8 +418,10 @@ TEST(CompactResolvedYelt, DirectBuildMatchesCompactionForDenseAndSparseIds) {
     expect_direct_build_matches_compaction(*elt, thin, kind + "/thin lens");
     expect_direct_build_matches_compaction(*elt, hand, kind + "/hand lens");
   }
-  EXPECT_EQ(CompactResolvedYelt::build(sparse, hand).hits(), 3u);
-  EXPECT_EQ(CompactResolvedYelt::build(dense, hand).hits(), 3u);
+  const EventLossTable* const both[] = {&sparse, &dense};
+  const auto built = CompactResolvedYelt::build(both, hand);
+  EXPECT_EQ(built[0].hits(), 3u);
+  EXPECT_EQ(built[1].hits(), 3u);
 }
 
 TEST(CompactResolvedYelt, ParallelBuildMatchesInlineBuild) {
@@ -432,9 +435,13 @@ TEST(CompactResolvedYelt, ParallelBuildMatchesInlineBuild) {
   const auto portfolio = finance::generate_portfolio(pg);
   const auto& elt = portfolio.contract(0).elt();
 
-  const auto tiny_grain = CompactResolvedYelt::build(elt, yelt, ParallelConfig{nullptr, 16});
-  const auto inline_build = CompactResolvedYelt::build(
-      elt, yelt, ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()});
+  const EventLossTable* const one[] = {&elt};
+  const auto tiny_grain =
+      std::move(CompactResolvedYelt::build(one, yelt, ParallelConfig{nullptr, 16}).front());
+  const auto inline_build = std::move(
+      CompactResolvedYelt::build(
+          one, yelt, ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()})
+          .front());
 
   ASSERT_EQ(tiny_grain.hits(), inline_build.hits());
   for (std::uint64_t k = 0; k < tiny_grain.hits(); ++k) {

@@ -9,6 +9,11 @@
 //      a semantic change.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/aggregate_engine.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
@@ -113,6 +118,204 @@ TEST(ResolverCache, DistinctTablesGetDistinctEntries) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(a->hits(), 4u);
   EXPECT_EQ(b->hits(), 2u);  // only event 2 resolves
+}
+
+/// The per-table reference: ResolvedYelt::build compacted to hits, with
+/// the CSR index by trial.
+struct Compacted {
+  std::vector<std::uint64_t> trial_offsets{0};
+  std::vector<std::uint32_t> seqs;
+  std::vector<std::uint32_t> rows;
+};
+
+Compacted compaction_of(const EventLossTable& elt, const YearEventLossTable& yelt) {
+  const auto resolved = ResolvedYelt::build(elt, yelt);
+  const auto offsets = yelt.offsets();
+  Compacted out;
+  for (TrialId t = 0; t < yelt.trials(); ++t) {
+    for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
+      if (resolved.rows()[i] != ResolvedYelt::kNoLoss) {
+        out.seqs.push_back(static_cast<std::uint32_t>(i - offsets[t]));
+        out.rows.push_back(resolved.rows()[i]);
+      }
+    }
+    out.trial_offsets.push_back(out.seqs.size());
+  }
+  return out;
+}
+
+void expect_equals_compaction(const CompactResolvedYelt& got, const EventLossTable& elt,
+                              const YearEventLossTable& yelt, const std::string& what) {
+  const auto want = compaction_of(elt, yelt);
+  ASSERT_EQ(got.trials(), yelt.trials()) << what;
+  ASSERT_EQ(got.hits(), want.seqs.size()) << what;
+  for (TrialId t = 0; t <= yelt.trials(); ++t) {
+    ASSERT_EQ(got.trial_offsets()[t], want.trial_offsets[t]) << what << " trial " << t;
+  }
+  for (std::uint64_t k = 0; k < got.hits(); ++k) {
+    ASSERT_EQ(got.seqs()[k], want.seqs[k]) << what << " hit " << k;
+    ASSERT_EQ(got.rows()[k], want.rows[k]) << what << " hit " << k;
+  }
+}
+
+/// A book mixing dense and sparse tables: `short_dense` has a row_lookup()
+/// far shorter than the YELT's largest event ids, `sparse` has none.
+struct MixedBook {
+  EventLossTable wide_dense;
+  EventLossTable short_dense;
+  EventLossTable sparse;
+};
+
+MixedBook mixed_book() {
+  std::vector<EltRow> wide;
+  for (EventId e = 1; e < 600; e += 4) {
+    wide.push_back({e, 1e5 + e, 2e4, 1e6});
+  }
+  std::vector<EltRow> low;
+  for (EventId e = 0; e < 40; e += 3) {
+    low.push_back({e, 2e5 + e, 2e4, 1e6});
+  }
+  std::vector<EltRow> sparse;
+  for (EventId k = 0; k < 30; ++k) {
+    sparse.push_back({k * 20'011 % 600 + k * 1'000'003, 3e5 + k, 2e4, 1e6});
+  }
+  sparse.push_back({7, 3e5, 2e4, 1e6});
+  return MixedBook{EventLossTable::from_rows(wide), EventLossTable::from_rows(low),
+                   EventLossTable::from_rows(sparse)};
+}
+
+/// Leading, trailing and interior empty trials, hit-free trials, repeated
+/// events and events at or past every table's lookup.
+YearEventLossTable edge_yelt() {
+  YearEventLossTable::Builder builder;
+  builder.begin_trial();  // empty
+  builder.begin_trial();
+  builder.add(0, 1);
+  builder.add(7, 2);
+  builder.add(599, 3);
+  builder.add(1'000'003, 4);  // only the sparse table's id range
+  builder.begin_trial();
+  builder.add(2, 5);  // in no table: a hit-free trial
+  builder.begin_trial();
+  builder.begin_trial();
+  builder.add(39, 6);
+  builder.add(40, 7);  // one past short_dense's lookup
+  builder.add(39, 8);
+  builder.begin_trial();
+  builder.add(5'000'000, 9);  // past every lookup
+  builder.begin_trial();
+  builder.add(3, 10);
+  builder.add(5, 11);
+  builder.begin_trial();  // empty
+  return builder.finish();
+}
+
+TEST(CompactResolvedYelt, FusedBuildEqualsPerTableCompaction) {
+  const auto book = mixed_book();
+  ASSERT_FALSE(book.wide_dense.row_lookup().empty());
+  ASSERT_FALSE(book.short_dense.row_lookup().empty());
+  ASSERT_TRUE(book.sparse.row_lookup().empty());
+  // The same table twice, and every mix of dense and sparse.
+  const EventLossTable* const elts[] = {&book.wide_dense, &book.sparse, &book.short_dense,
+                                        &book.wide_dense};
+
+  YeltGenConfig yg;
+  yg.trials = 3'000;
+  yg.seed = 17;
+  const auto generated = generate_yelt(600, yg);
+  const auto hand = edge_yelt();
+
+  for (const auto* yelt : {&generated, &hand}) {
+    // Inline, fixed grains whose chunk edges fall on empty and hit-free
+    // trials, and the library's occurrence-weighted chunking.
+    for (const std::size_t grain : {std::numeric_limits<std::size_t>::max(), std::size_t{1},
+                                    std::size_t{2}, std::size_t{3}, std::size_t{0}}) {
+      const auto built = CompactResolvedYelt::build(elts, *yelt, ParallelConfig{nullptr, grain});
+      ASSERT_EQ(built.size(), std::size(elts));
+      for (std::size_t j = 0; j < built.size(); ++j) {
+        expect_equals_compaction(built[j], *elts[j], *yelt,
+                                 "table " + std::to_string(j) + " grain " +
+                                     std::to_string(grain) + " trials " +
+                                     std::to_string(yelt->trials()));
+      }
+    }
+  }
+}
+
+TEST(CompactResolvedYelt, OneTableAndOneTrialBlocks) {
+  const auto book = mixed_book();
+  const auto hand = edge_yelt();
+  for (TrialId t = 0; t < hand.trials(); ++t) {
+    YearEventLossTable::Builder builder;
+    builder.begin_trial();
+    for (std::uint64_t i = hand.offsets()[t]; i < hand.offsets()[t + 1]; ++i) {
+      builder.add(hand.events()[i], 1);
+    }
+    const auto block = builder.finish();
+    for (const auto* elt : {&book.wide_dense, &book.short_dense, &book.sparse}) {
+      const EventLossTable* const one[] = {elt};
+      expect_equals_compaction(CompactResolvedYelt::build(one, block).front(), *elt, block,
+                               "one-trial block " + std::to_string(t));
+    }
+    const EventLossTable* const all[] = {&book.wide_dense, &book.short_dense, &book.sparse};
+    const auto built = CompactResolvedYelt::build(all, block);
+    for (std::size_t j = 0; j < built.size(); ++j) {
+      expect_equals_compaction(built[j], *all[j], block, "one-trial block, fused");
+    }
+  }
+}
+
+TEST(CompactResolvedYelt, ReusedScratchGivesTheSameColumns) {
+  // One scratch across blocks of different sizes and across a request
+  // whose tables are not the ones its postings were built from.
+  const auto book = mixed_book();
+  const EventLossTable* const elts[] = {&book.wide_dense, &book.sparse, &book.short_dense};
+  ResolveScratch scratch(elts);
+  EXPECT_TRUE(scratch.postings().built_from(elts));
+  YeltGenConfig yg;
+  yg.trials = 700;
+  const auto generated = generate_yelt(600, yg);
+  const auto hand = edge_yelt();
+  for (const auto* yelt : {&generated, &hand, &generated}) {
+    const auto built = CompactResolvedYelt::build(elts, *yelt, {}, &scratch);
+    for (std::size_t j = 0; j < built.size(); ++j) {
+      expect_equals_compaction(built[j], *elts[j], *yelt, "reused scratch");
+    }
+  }
+  const EventLossTable* const other[] = {&book.short_dense, &book.wide_dense};
+  EXPECT_FALSE(scratch.postings().built_from(other));
+  const auto built = CompactResolvedYelt::build(other, generated, {}, &scratch);
+  for (std::size_t j = 0; j < built.size(); ++j) {
+    expect_equals_compaction(built[j], *other[j], generated, "other tables");
+  }
+}
+
+TEST(ResolverCache, FusedBuildResolvesOnlyTheMisses) {
+  const auto book = mixed_book();
+  const auto yelt = edge_yelt();
+  ResolverCache cache;
+  const auto cached = cache.get_or_build_compact(book.short_dense, yelt);
+  EXPECT_EQ(cache.miss_count(), 1u);
+
+  // The same table twice plus one cached: two misses (one build of the
+  // repeated table), one hit on the cache and one on the repeat.
+  const EventLossTable* const elts[] = {&book.wide_dense, &book.short_dense, &book.sparse,
+                                        &book.wide_dense};
+  const auto set = MultiResolution::build(elts, yelt, &cache);
+  EXPECT_EQ(cache.miss_count(), 3u);
+  EXPECT_EQ(cache.hit_count(), 2u);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(set.entry(1).compact.get(), cached.get());
+  EXPECT_EQ(set.entry(0).compact.get(), set.entry(3).compact.get());
+  for (std::size_t j = 0; j < set.size(); ++j) {
+    expect_equals_compaction(*set.entry(j).compact, *elts[j], yelt,
+                             "cache entry " + std::to_string(j));
+  }
+
+  // A second request resolves nothing.
+  (void)MultiResolution::build(elts, yelt, &cache);
+  EXPECT_EQ(cache.miss_count(), 3u);
+  EXPECT_EQ(cache.hit_count(), 6u);
 }
 
 TEST(ResolverCache, EvictsFifoPastCapacity) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "util/prng.hpp"
@@ -171,6 +172,76 @@ TEST(SortUpperTail, TailReadsMatchFullSortBitForBit) {
   sort_upper_tail(empty, 0.99);
   std::vector<double> one{1.0};
   EXPECT_THROW(sort_upper_tail(one, 1.5), ContractViolation);
+}
+
+/// Checks an UpperTail at level p against a full sort of the same values.
+void expect_upper_tail_matches_full_sort(const std::vector<double>& values, double p,
+                                         const std::string& what) {
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const UpperTail tail(values, p);
+  ASSERT_EQ(tail.first(), static_cast<std::size_t>(p * static_cast<double>(values.size() - 1)))
+      << what;
+  ASSERT_EQ(tail.sorted().size(), values.size() - tail.first()) << what;
+  for (std::size_t i = 0; i < tail.sorted().size(); ++i) {
+    ASSERT_EQ(tail.sorted()[i], sorted[tail.first() + i]) << what << " rank " << i;
+  }
+  for (const double q : {p, 0.99, 0.996, 1.0}) {
+    if (q < p) {
+      continue;
+    }
+    EXPECT_EQ(tail.quantile(q), quantile_sorted(sorted, q)) << what << " q " << q;
+    EXPECT_EQ(tail.tail_mean_above(q), tail_mean_above(sorted, q)) << what << " q " << q;
+  }
+}
+
+TEST(UpperTail, ReadsMatchFullSortBitForBit) {
+  // Small samples take the copy-and-sort path, large ones the pivot
+  // selection; ties and long zero runs (a layer's no-loss years) included.
+  Xoshiro256ss rng(91);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{101},
+                              std::size_t{5'000}, std::size_t{16'384}, std::size_t{100'003}}) {
+    std::vector<double> tied(n);
+    std::vector<double> smooth(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = to_unit_double(rng());
+      tied[i] = u < 0.6 ? 0.0 : std::floor(u * 50.0) * 1e5;
+      smooth[i] = u < 0.9 ? 0.0 : -std::log1p(-u) * 1e6;
+    }
+    for (const double p : {0.0, 0.5, 0.99}) {
+      expect_upper_tail_matches_full_sort(tied, p, "tied n=" + std::to_string(n));
+      expect_upper_tail_matches_full_sort(smooth, p, "smooth n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(UpperTail, AllZeroAndAllTiedSamples) {
+  // Every value equals the pivot, so every value is a candidate.
+  expect_upper_tail_matches_full_sort(std::vector<double>(50'000, 0.0), 0.99, "zeros");
+  expect_upper_tail_matches_full_sort(std::vector<double>(50'000, 3.5), 0.99, "threes");
+}
+
+TEST(UpperTail, PivotOvershootFallsBackToTheFullOrder) {
+  // The strided sample reads only the large values planted at its stride,
+  // so its pivot sits above nearly the whole sample and too few values
+  // qualify; the result must still be the full sort's.
+  const std::size_t n = 65'536;
+  const std::size_t stride = n / 4'096;
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    values[i] = i % stride == 0 ? 1e9 + static_cast<double>(i)
+                                : static_cast<double>((i * 7919) % 1'000);
+  }
+  expect_upper_tail_matches_full_sort(values, 0.99, "overshoot");
+}
+
+TEST(UpperTail, ContractsEnforced) {
+  const std::vector<double> values{1.0, 2.0, 3.0};
+  EXPECT_THROW(UpperTail({}, 0.99), ContractViolation);
+  EXPECT_THROW(UpperTail(values, 1.5), ContractViolation);
+  const UpperTail tail(values, 0.9);
+  EXPECT_THROW((void)tail.quantile(0.5), ContractViolation);
+  EXPECT_THROW((void)tail.tail_mean_above(0.5), ContractViolation);
 }
 
 TEST(Histogram, BinsAndEdges) {
